@@ -11,9 +11,17 @@ the *content* that determines the result bit-for-bit:
 * the :class:`~repro.pipeline.processor.SimParams` (seed included —
   the context-switch schedule is part of the result);
 * the policy name;
-* the workload's member names **and** per-member trace fingerprints
-  (:meth:`TraceBundle.fingerprint` — a kernel edit or scale change
-  reflows the dynamic trace and therefore the key);
+* the workload's member names **and** per-member compiled-program
+  fingerprints (:meth:`~repro.isa.program.Program.fingerprint` — a
+  kernel edit, scale change or compiler change reflows the program and
+  therefore the key);
+* :data:`~repro.pipeline.trace.TRACE_VERSION` and the functional VM's
+  instruction cap: the dynamic trace every cell replays is a
+  deterministic function of the program, the VM semantics and the
+  static-table derivation, so the key names the trace by its *inputs*
+  and a warm rerun never has to run the VM to form it
+  (``tests/test_trace_pins.py`` fails when a pinned trace moves
+  without a ``TRACE_VERSION`` bump);
 * the hardware thread count.
 
 Layout: ``<root>/<key[:2]>/<key[2:]>.json``, one JSON document per
@@ -51,6 +59,7 @@ from ..arch.config import MachineConfig
 from ..arch.scenarios import machine_fingerprint
 from ..pipeline.processor import SimParams
 from ..pipeline.stats import SimStats
+from ..pipeline.trace import TRACE_MAX_INSTRUCTIONS, TRACE_VERSION
 from . import faults
 
 try:  # advisory cross-process locking; absent on some platforms
@@ -75,7 +84,12 @@ log = logging.getLogger(__name__)
 #: one exists — ``SimStats.memory["prefetch"]`` grew late/dropped.
 #: v5: entries carry a payload ``checksum`` verified on read (the
 #: crash-safe store); the simulated results themselves are unchanged.
-CACHE_VERSION = 5
+#: v6: keys hash compiled-program fingerprints + ``TRACE_VERSION`` +
+#: the trace instruction cap instead of recorded-trace fingerprints
+#: (a warm rerun no longer runs the functional VM); entry contents are
+#: unchanged, but every v5 key is unreachable, so v5 entries read as
+#: stale and ``repro cache repair`` removes them.
+CACHE_VERSION = 6
 
 #: Shard directories are the first two hex digits of the key.
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
@@ -90,13 +104,16 @@ def cache_key(
     params: SimParams,
     policy_name: str,
     members: tuple[str, ...],
-    fingerprints: tuple[str, ...],
+    programs: tuple[str, ...],
     n_threads: int,
 ) -> str:
     """Deterministic content hash of one matrix cell.
 
     The machine enters as its scenario fingerprint; the effective
-    timeslice (a machine scenario may scale it) travels in ``params``.
+    timeslice (a machine scenario may scale it) travels in ``params``;
+    ``programs`` are the members' compiled-program fingerprints, which
+    with ``TRACE_VERSION`` and the VM instruction cap determine their
+    traces.
     """
     payload = {
         "version": CACHE_VERSION,
@@ -104,7 +121,9 @@ def cache_key(
         "params": dataclasses.asdict(params),
         "policy": policy_name,
         "members": list(members),
-        "traces": list(fingerprints),
+        "programs": list(programs),
+        "trace_version": TRACE_VERSION,
+        "trace_cap": TRACE_MAX_INSTRUCTIONS,
         "n_threads": n_threads,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

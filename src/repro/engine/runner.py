@@ -4,10 +4,11 @@ Each matrix cell is an independent deterministic simulation (its own
 ``random.Random(seed)``, its own caches), so cells can run on a process
 pool in any order and produce bit-identical counters to a serial sweep.
 Workers receive only small picklable specs — (policy name, benchmark
-names, thread count, scale, machine config) — and rebuild traces
-locally via the per-process trace memo in :mod:`repro.kernels.suite`;
-trace bundles themselves (megabytes of flattened tables) never cross
-the process boundary.  Results come back as
+names, thread count, scale, machine config) — and look traces up in
+the per-process trace memo of :mod:`repro.kernels.suite`; the parent
+builds the pending cells' traces before the pool forks, so forked
+workers inherit them, and trace bundles themselves (megabytes of
+flattened tables) never cross the process boundary.  Results come back as
 ``{"stats": SimStats.to_dict(), "telemetry": <ledger record>}``
 payloads; stats are folded into the parent session's memo and disk
 cache, and the worker's telemetry record (tagged with the worker's
@@ -167,11 +168,12 @@ def _simulate_batch(payload: tuple) -> dict:
     policy_name, cell_members, n_threads, scale, cfg = payload
     try:
         from ..core.policies import get_policy
-        from ..kernels.suite import get_trace
+        from ..kernels.suite import get_trace, trace_build_seconds
         from ..pipeline import batch as batch_mod
         from ..pipeline.processor import SimParams
 
         t0 = time.perf_counter()
+        built = trace_build_seconds()
         params = SimParams(
             target_instructions=scale.target_instructions,
             timeslice=scale.timeslice,
@@ -183,6 +185,7 @@ def _simulate_batch(payload: tuple) -> dict:
             for members in cell_members
             for name in members
         }
+        trace_s = trace_build_seconds() - built
         stats_list = batch_mod.run_batch(
             get_policy(policy_name), cfg, params, n_threads,
             cell_members, bundles,
@@ -199,6 +202,7 @@ def _simulate_batch(payload: tuple) -> dict:
         "stats": [s.to_dict() for s in stats_list],
         "pid": os.getpid(),
         "wall_s": time.perf_counter() - t0,
+        "trace_s": trace_s,
     }
 
 
@@ -301,6 +305,22 @@ class _MatrixRun:
         self.attempts: dict[tuple, int] = {}
         self.tracebacks: dict[tuple, list[str]] = {}
         self.not_before: dict[tuple, float] = {}
+        #: seconds the parent spent building each pending cell's traces
+        #: before the pool forked; folded into the cell's telemetry
+        #: record (``wall_s`` and ``trace_s``) when it is adopted
+        self.trace_s: dict[tuple, float] = {}
+
+    def charge_traces(self, spec, record: dict) -> dict:
+        """``record`` with the parent's pre-fork trace build for
+        ``spec`` added to its wall and trace seconds."""
+        built = self.trace_s.get(spec)
+        if not built:
+            return record
+        return {
+            **record,
+            "wall_s": round(record.get("wall_s", 0.0) + built, 6),
+            "trace_s": round(record.get("trace_s", 0.0) + built, 6),
+        }
 
     # ------------------------------------------------------- accounting
     def charge(self, spec) -> int:
@@ -351,7 +371,9 @@ class _MatrixRun:
         finally:
             faults.end_cell()
         if pooled_telemetry is not None:
-            session.telemetry.adopt(pooled_telemetry)
+            session.telemetry.adopt(
+                self.charge_traces(spec, pooled_telemetry)
+            )
         if count_simulation:
             session.simulations += 1
         if self.journal is not None:
@@ -500,14 +522,15 @@ def _batch_payload(session, specs: list[tuple]) -> tuple:
 
 def _adopt_batch(
     run: _MatrixRun, specs: list[tuple], stats_list: list[SimStats],
-    wall_s: float, worker_pid: int | None = None,
+    wall_s: float, worker_pid: int | None = None, trace_s: float = 0.0,
 ) -> None:
     """Fold one finished batch group into the session, per cell: memo +
     store + journal + telemetry records indistinguishable in shape from
-    serial scalar execution (``loop_used="batch"``, group wall time
-    amortised per cell)."""
+    serial scalar execution (``loop_used="batch"``, group wall and
+    trace-build time amortised per cell)."""
     session = run.session
     per_cell = wall_s / max(1, len(specs))
+    trace_per_cell = trace_s / max(1, len(specs))
     for spec, stats in zip(specs, stats_list):
         run.adopt(spec, stats, source="simulated", count_simulation=True)
         memory, machine = _spec_coords(spec)
@@ -524,10 +547,11 @@ def _adopt_batch(
             "loop_used": "batch",
             "wall_s": round(per_cell, 6),
             "spec_s": 0.0,
+            "trace_s": round(trace_per_cell, 6),
         }
         if worker_pid is not None:
             record["worker"] = worker_pid
-        session.telemetry.record(**record)
+        session.telemetry.record(**run.charge_traces(spec, record))
 
 
 def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
@@ -560,10 +584,11 @@ def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
         try:
             payload = _batch_payload(session, pending)
             from ..core.policies import get_policy
-            from ..kernels.suite import get_trace
+            from ..kernels.suite import get_trace, trace_build_seconds
             from ..pipeline import batch as batch_mod
             from ..pipeline.processor import SimParams
 
+            built = trace_build_seconds()
             policy_name, cell_members, n_threads, scale, cfg = payload
             params = SimParams(
                 target_instructions=scale.target_instructions,
@@ -576,6 +601,7 @@ def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
                 for members in cell_members
                 for name in members
             }
+            trace_s = trace_build_seconds() - built
             stats_list = batch_mod.run_batch(
                 get_policy(policy_name), cfg, params, n_threads,
                 cell_members, bundles,
@@ -588,7 +614,10 @@ def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
             )
             _run_serial(run, pending)
             continue
-        _adopt_batch(run, pending, stats_list, time.perf_counter() - t0)
+        _adopt_batch(
+            run, pending, stats_list, time.perf_counter() - t0,
+            trace_s=trace_s,
+        )
 
 
 def _run_batch_pooled(
@@ -637,6 +666,7 @@ def _run_batch_pooled(
             run, specs,
             [SimStats.from_dict(d) for d in result["stats"]],
             result["wall_s"], worker_pid=result.get("pid"),
+            trace_s=result.get("trace_s", 0.0),
         )
     if broken:
         _kill_pool(pool)
@@ -950,6 +980,21 @@ def run_matrix(
                     run.results[spec] = stats
                 else:
                     pending.append(spec)
+            # Build the pending cells' traces here, before the pool
+            # forks: workers inherit them instead of each rerunning the
+            # functional VM (lookups key on program fingerprints and
+            # never build a trace).
+            for spec in pending:
+                try:
+                    run.trace_s[spec] = session.build_traces(spec)
+                except Exception as e:
+                    # left to the cell's own attempt, which records the
+                    # failure under the retry policy
+                    log.warning(
+                        "cell %s: trace build failed before the pool "
+                        "forked (%s: %s)", cell_label(spec),
+                        type(e).__name__, e,
+                    )
             if use_batch and pending:
                 groups, pending = _batch_groups(run, pending)
                 if groups:

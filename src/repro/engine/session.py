@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from ..arch.config import MachineConfig, PAPER_MACHINE, get_memory_config
 from ..arch.scenarios import get_scenario
 from ..core.policies import ALL_POLICIES, Policy, get_policy
-from ..kernels.suite import get_trace
+from ..kernels.suite import get_program, get_trace, trace_build_seconds
 from ..obs.telemetry import TelemetryLedger
 from ..pipeline.processor import Processor, RUN_LOOPS, SimParams
 from ..pipeline.stats import SimStats
@@ -42,6 +42,11 @@ from .runner import DEFAULT_RETRY, RetryPolicy
 #: keys; the run itself uses op-level merging with one thread, where
 #: every policy is equivalent.
 _ST_POLICY = "ST"
+
+#: ``target_instructions`` of a single-thread baseline's *key* params:
+#: the run replays its whole trace, whose length is only known once the
+#: trace is built, and the program fingerprint already determines it.
+_WHOLE_TRACE = -1
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,9 @@ class SimulationSession:
         self._pool = None
         self._pool_jobs = 0
         self._memo: dict[tuple, SimStats] = {}
+        #: result-store key per memo key: lookup, adopt and the journal
+        #: of one cell share one :func:`cache_key` computation
+        self._keys: dict[tuple, str] = {}
         #: machine configs resolved per (machine preset, memory preset)
         #: sweep-axis coordinate, derived from the session config /
         #: scenario registry; cached so config identity is stable for
@@ -255,56 +263,87 @@ class SimulationSession:
 
     def _bundles(
         self, members: tuple[str, ...], machine: str | None = None
-    ) -> list[TraceBundle]:
+    ) -> tuple[list[TraceBundle], float]:
+        """A cell's trace bundles, plus the seconds spent building the
+        ones this process did not have yet (the cell's ``trace_s``)."""
         # Built against the cell's *machine* base config (the compiler
         # and functional VM see cluster count and issue shape): every
         # memory preset riding on one machine shares one compile +
         # trace per benchmark, because the memory hierarchy is
         # invisible to both.
         cfg = self.machine_cfg(machine)
-        return [
+        before = trace_build_seconds()
+        bundles = [
             get_trace(name, self.scale.kernel_scale, cfg)
             for name in members
         ]
+        return bundles, trace_build_seconds() - before
+
+    def _program_prints(
+        self, members: tuple[str, ...], machine: str | None = None
+    ) -> tuple[str, ...]:
+        """Compiled-program fingerprints of a cell's members — compiled
+        against the same machine base config as :meth:`_bundles`, so
+        they name exactly the traces the cell would replay."""
+        cfg = self.machine_cfg(machine)
+        return tuple(
+            get_program(name, self.scale.kernel_scale, cfg).fingerprint()
+            for name in members
+        )
 
     def _disk_key(
         self,
+        memo_key: tuple,
         policy_name: str,
         members: tuple[str, ...],
         n_threads: int,
         params: SimParams,
-        cfg: MachineConfig | None = None,
+        cfg: MachineConfig,
         machine: str | None = None,
     ) -> str | None:
+        """The cell's result-store key (``None`` without a store),
+        computed once per memo key: it hashes program fingerprints, not
+        traces, so forming it never runs the functional VM."""
         if self.cache is None:
             return None
-        prints = tuple(
-            b.fingerprint() for b in self._bundles(members, machine)
-        )
-        return cache_key(
-            self.cfg if cfg is None else cfg,
-            params,
-            policy_name,
-            members,
-            prints,
-            n_threads,
-        )
+        key = self._keys.get(memo_key)
+        if key is None:
+            key = cache_key(
+                cfg,
+                params,
+                policy_name,
+                members,
+                self._program_prints(members, machine),
+                n_threads,
+            )
+            self._keys[memo_key] = key
+        return key
 
     def journal_key(self, spec: tuple) -> str | None:
         """Content-hashed identity of one sweep spec for the journal —
-        the same key the disk cache uses, so a resumed sweep after a
+        the same key the disk cache uses (and the same computation:
+        memoised per cell), so a resumed sweep after a
         kernel/scale/scenario change correctly sees *different* cells.
         ``None`` for cache-less sessions (which cannot journal)."""
-        if self.cache is None:
-            return None
         memory = spec[3] if len(spec) > 3 else None
         machine = spec[4] if len(spec) > 4 else None
-        policy, members, cfg, params, _ = self._cell(
+        policy, members, cfg, params, memo_key = self._cell(
             spec[0], spec[1], spec[2], memory, machine
         )
         return self._disk_key(
-            policy.name, members, spec[2], params, cfg, machine
+            memo_key, policy.name, members, spec[2], params, cfg, machine
         )
+
+    def build_traces(self, spec: tuple) -> float:
+        """Build (or find memoised) the trace bundles of one sweep spec
+        in this process; returns the seconds spent building.  The
+        pooled sweep calls this before its workers fork, so they
+        inherit every trace instead of each rerunning the functional
+        VM."""
+        return self._bundles(
+            self.workload_members(spec[1]),
+            spec[4] if len(spec) > 4 else None,
+        )[1]
 
     def _cell(
         self,
@@ -355,14 +394,15 @@ class SimulationSession:
             policy, workload, n_threads, memory, machine
         )
         loop_used = None
-        spec_s = 0.0
+        spec_s = trace_s = 0.0
         if stats is None:
             pol, members, cfg, params, _ = self._cell(
                 policy, workload, n_threads, memory, machine
             )
+            bundles, trace_s = self._bundles(members, machine)
             proc = Processor(
                 pol,
-                self._bundles(members, machine),
+                bundles,
                 n_threads,
                 cfg,
                 params,
@@ -378,7 +418,7 @@ class SimulationSession:
             spec_s = proc.spec_seconds
         self._record_cell(
             policy, workload, n_threads, memory, machine,
-            source, loop_used, time.perf_counter() - t0, spec_s,
+            source, loop_used, time.perf_counter() - t0, spec_s, trace_s,
         )
         return stats
 
@@ -409,9 +449,10 @@ class SimulationSession:
             self.memo_hits += 1
             return stats
         t0 = time.perf_counter()
+        bundles, trace_s = self._bundles(members, machine)
         proc = Processor(
             pol,
-            self._bundles(members, machine),
+            bundles,
             n_threads,
             cfg,
             params,
@@ -424,13 +465,13 @@ class SimulationSession:
         self._record_cell(
             policy, workload, n_threads, memory, machine,
             "simulated", proc.loop_used, time.perf_counter() - t0,
-            proc.spec_seconds,
+            proc.spec_seconds, trace_s,
         )
         return stats
 
     def _record_cell(
         self, policy, workload, n_threads, memory, machine,
-        source, loop_used, wall_s, spec_s,
+        source, loop_used, wall_s, spec_s, trace_s=0.0,
     ) -> None:
         self.telemetry.record(
             policy=policy if isinstance(policy, str) else policy.name,
@@ -445,6 +486,7 @@ class SimulationSession:
             loop_used=loop_used,
             wall_s=round(wall_s, 6),
             spec_s=round(spec_s, 6),
+            trace_s=round(trace_s, 6),
         )
 
     def record_failure(self, spec: tuple, failure) -> None:
@@ -466,6 +508,7 @@ class SimulationSession:
             loop_used=None,
             wall_s=0.0,
             spec_s=0.0,
+            trace_s=0.0,
             error=failure.category,
             attempts=failure.attempts,
         )
@@ -551,7 +594,8 @@ class SimulationSession:
             return stats, "memo"
         if not self.hooks:
             disk_key = self._disk_key(
-                policy.name, members, n_threads, params, cfg, machine
+                memo_key, policy.name, members, n_threads, params, cfg,
+                machine,
             )
             if disk_key is not None:
                 stats = self.cache.get(disk_key)
@@ -576,7 +620,8 @@ class SimulationSession:
         )
         self._memo[memo_key] = stats
         disk_key = self._disk_key(
-            policy.name, members, n_threads, params, cfg, machine
+            memo_key, policy.name, members, n_threads, params, cfg,
+            machine,
         )
         if disk_key is not None:
             self.cache.put(
@@ -601,12 +646,14 @@ class SimulationSession:
             self.memo_hits += 1
             return stats
         t0 = time.perf_counter()
-        bundle = get_trace(bench, self.scale.kernel_scale, self.cfg)
         # Matches the legacy ``run_single_thread`` helper exactly
         # (including its 50 M-cycle safety limit, not the matrix
         # scale's), so Fig. 13a numbers are unchanged by the engine.
+        # The run's target is the trace's length; the key names it
+        # with the whole-trace marker, so a warm lookup needs only the
+        # compiled program, never the trace.
         params = SimParams(
-            target_instructions=bundle.length,
+            target_instructions=_WHOLE_TRACE,
             timeslice=0,
             perfect_memory=perfect_memory,
             renaming=False,
@@ -614,22 +661,28 @@ class SimulationSession:
         )
         disk_key = None
         if self.cache is not None:
+            program = get_program(bench, self.scale.kernel_scale, self.cfg)
             disk_key = cache_key(
                 self.cfg,
                 params,
                 _ST_POLICY,
                 (bench,),
-                (bundle.fingerprint(),),
+                (program.fingerprint(),),
                 1,
             )
             if not self.hooks:  # see lookup(): no disk reads when hooked
                 stats = self.cache.get(disk_key)
-        source, loop_used, spec_s = "disk", None, 0.0
+        source, loop_used, spec_s, trace_s = "disk", None, 0.0, 0.0
         if stats is None:
             from ..core.policies import SMT
 
+            built = trace_build_seconds()
+            bundle = get_trace(bench, self.scale.kernel_scale, self.cfg)
+            trace_s = trace_build_seconds() - built
             proc = Processor(
-                SMT, [bundle], 1, self.cfg, params, hooks=self.hooks,
+                SMT, [bundle], 1, self.cfg,
+                replace(params, target_instructions=bundle.length),
+                hooks=self.hooks,
                 force_reference=self.reference, run_loop=self.run_loop,
             )
             stats = proc.run()
@@ -643,7 +696,7 @@ class SimulationSession:
         self._memo[memo_key] = stats
         self._record_cell(
             _ST_POLICY, bench, 1, None, None, source, loop_used,
-            time.perf_counter() - t0, spec_s,
+            time.perf_counter() - t0, spec_s, trace_s,
         )
         return stats
 

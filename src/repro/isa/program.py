@@ -8,10 +8,19 @@ builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import sys
+from array import array
+from dataclasses import dataclass, field, fields
+from itertools import chain
 
 from .operation import Operation, VLIWInstruction
 from .opcodes import Opcode
+
+#: Operation fields in declaration order: every one of them enters
+#: :meth:`Program.fingerprint`, so a field added to ``Operation``
+#: reaches the fingerprint without touching this module.
+_OP_FIELDS = tuple(f.name for f in fields(Operation))
 
 
 @dataclass
@@ -71,6 +80,7 @@ class Program:
         self.n_clusters = n_clusters
         self.data = data or DataSegment()
         self.name = name
+        self._fingerprint: str | None = None
         self._assign_pcs()
         self._validate()
 
@@ -127,6 +137,40 @@ class Program:
                         f"{self.name}: send/recv pair {xid} within one "
                         "cluster"
                     )
+
+    def fingerprint(self) -> str:
+        """SHA-256 over the program's canonical content: the cluster
+        count, every operation's fields in layout order (resolved
+        branch targets included, instruction boundaries marked), the
+        data segment's size and sorted words, and the name.
+
+        The functional VM is a deterministic function of this content,
+        so the engine's result store keys cells on it instead of on the
+        recorded trace (``docs/engine.md``).  Memoised: a program is
+        not mutated after construction."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            # the header fixes every length, so the stream parses one way
+            h.update(repr((
+                self.name, self.n_clusters, len(self.instructions),
+                self.data.size, len(self.data.words),
+            )).encode())
+            for ins in self.instructions:
+                h.update(repr(tuple(
+                    tuple(
+                        v.name if isinstance(v, Opcode) else v
+                        for v in (getattr(op, f) for f in _OP_FIELDS)
+                    )
+                    for op in ins.ops
+                )).encode())
+            words = array(
+                "q", chain.from_iterable(sorted(self.data.words.items()))
+            )
+            if sys.byteorder != "little":  # one canonical byte order
+                words.byteswap()
+            h.update(words.tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
     def __len__(self) -> int:
         return len(self.instructions)

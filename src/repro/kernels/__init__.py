@@ -8,6 +8,7 @@ from .suite import (
     build_program,
     clear_trace_cache,
     get_meta,
+    get_program,
     get_trace,
 )
 
@@ -20,5 +21,6 @@ __all__ = [
     "build_program",
     "clear_trace_cache",
     "get_meta",
+    "get_program",
     "get_trace",
 ]

@@ -1,21 +1,28 @@
-"""Benchmark registry and trace cache (the paper's Fig. 13a suite).
+"""Benchmark registry, program cache and trace cache (the paper's
+Fig. 13a suite).
 
 ``SUITE`` maps benchmark name -> (:class:`KernelMeta`, build function).
-:func:`get_trace` compiles and functionally executes a kernel once per
-(process, scale, machine) and memoises the resulting
+:func:`get_program` compiles a kernel once per (process, scale, machine
+shape) and memoises the :class:`~repro.isa.program.Program` — its
+fingerprint is what the engine's result store keys cells on.
+:func:`get_trace` builds on it: it functionally executes the program
+once per key and memoises the resulting
 :class:`~repro.pipeline.trace.TraceBundle`, so the 150-run experiment
-matrix reuses twelve functional runs.
+matrix reuses twelve functional runs, and a warm rerun that only needs
+keys runs none.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
 from dataclasses import replace
 
 from ..arch.config import MachineConfig, MemoryConfig, PAPER_MACHINE
 from ..compiler.builder import KernelBuilder
 from ..compiler.pipeline import compile_kernel
-from ..pipeline.trace import TraceBundle, record_trace
+from ..isa.program import Program
+from ..pipeline.trace import TRACE_MAX_INSTRUCTIONS, TraceBundle, record_trace
 from . import (
     blowfish,
     bzip2,
@@ -52,12 +59,20 @@ BY_CLASS: dict[str, list[str]] = {"l": [], "m": [], "h": []}
 for _name, (_meta, _) in SUITE.items():
     BY_CLASS[_meta.ilp_class].append(_name)
 
-_trace_cache: dict[tuple[str, float, MachineConfig], TraceBundle] = {}
+_MemoKey = tuple[str, float, MachineConfig]
 
-#: canonical memory block for trace-memo keys: compilation and the
-#: functional VM never see the memory hierarchy, so configs differing
-#: only there must share one compile + trace
+_program_cache: dict[_MemoKey, Program] = {}
+_trace_cache: dict[tuple[_MemoKey, int], TraceBundle] = {}
+
+#: canonical memory block for program/trace memo keys: compilation and
+#: the functional VM never see the memory hierarchy, so configs
+#: differing only there must share one compile + trace
 _FLAT_MEMORY = MemoryConfig()
+
+#: seconds this process spent in :func:`get_trace` misses (compile when
+#: not yet compiled, plus the functional VM run); the engine reads the
+#: delta around a cell to time its trace front-end (``trace_s``)
+_trace_build_s = 0.0
 
 
 def get_meta(name: str) -> KernelMeta:
@@ -70,34 +85,61 @@ def build_program(name: str, scale: float = 1.0, cfg: MachineConfig = PAPER_MACH
     return compile_kernel(build(scale), cfg)
 
 
-def get_trace(
-    name: str,
-    scale: float = 1.0,
-    cfg: MachineConfig = PAPER_MACHINE,
-    max_instructions: int = 5_000_000,
-) -> TraceBundle:
-    """Compile + functionally execute + memoise one benchmark trace.
-
-    Memoised by config *value* (``MachineConfig`` is frozen/hashable)
-    with the memory hierarchy normalised out (the compiler and the
-    functional VM never see it), so configs that agree on the machine
-    shape share a trace even across pickling boundaries — pool workers
-    receive a fresh config object per cell but still compile each
-    (benchmark, machine shape) once per process, whatever memory
-    presets ride on it.
-    """
+def _memo_key(name: str, scale: float, cfg: MachineConfig) -> _MemoKey:
+    """Memo key by config *value* (``MachineConfig`` is frozen and
+    hashable) with the memory hierarchy normalised out, so configs
+    that agree on the machine shape share an entry even across
+    pickling boundaries — pool workers receive a fresh config object
+    per cell but still compile each (benchmark, machine shape) once per
+    process, whatever memory presets ride on it."""
     key_cfg = (
         cfg if cfg.memory == _FLAT_MEMORY
         else replace(cfg, memory=_FLAT_MEMORY)
     )
-    key = (name, scale, key_cfg)
+    return (name, scale, key_cfg)
+
+
+def get_program(
+    name: str, scale: float = 1.0, cfg: MachineConfig = PAPER_MACHINE
+) -> Program:
+    """Compile + memoise one benchmark's program (see :func:`_memo_key`
+    for what shares an entry)."""
+    key = _memo_key(name, scale, cfg)
+    program = _program_cache.get(key)
+    if program is None:
+        program = build_program(name, scale, cfg).program
+        _program_cache[key] = program
+    return program
+
+
+def get_trace(
+    name: str,
+    scale: float = 1.0,
+    cfg: MachineConfig = PAPER_MACHINE,
+    max_instructions: int = TRACE_MAX_INSTRUCTIONS,
+) -> TraceBundle:
+    """Functionally execute + memoise one benchmark trace, on the
+    program :func:`get_program` memoises under the same key."""
+    global _trace_build_s
+    key = (_memo_key(name, scale, cfg), max_instructions)
     bundle = _trace_cache.get(key)
     if bundle is None:
-        result = build_program(name, scale, cfg)
-        bundle = record_trace(result.program, cfg, max_instructions)
+        t0 = time.perf_counter()
+        bundle = record_trace(
+            get_program(name, scale, cfg), cfg, max_instructions
+        )
         _trace_cache[key] = bundle
+        _trace_build_s += time.perf_counter() - t0
     return bundle
 
 
+def trace_build_seconds() -> float:
+    """Cumulative seconds this process spent building traces in
+    :func:`get_trace` misses."""
+    return _trace_build_s
+
+
 def clear_trace_cache() -> None:
+    """Forget every memoised program and trace."""
+    _program_cache.clear()
     _trace_cache.clear()

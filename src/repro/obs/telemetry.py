@@ -13,6 +13,11 @@ additionally carry ``error`` — the failure category — and
 ``fast`` / ``reference``; ``None`` for cache hits),
 ``wall_s``   — wall-clock seconds to resolve the cell,
 ``spec_s``   — of which specialised-loop codegen+compile time,
+``trace_s``  — of which trace front-end time: building the kernel
+traces this cell was the first to need (the functional VM run, plus
+the compile when no store-key derivation compiled the program first),
+work done once per process and shared by every later cell, so the
+digest reports it apart from the per-cell wall,
 ``worker``   — PID of the process that did the work (pool workers
 report their own).
 
@@ -20,8 +25,8 @@ The ledger always accumulates in memory; give it a path and every
 record is also appended as one JSON line, so a sweep's telemetry
 survives the process and ``repro stats`` can aggregate it later.
 :func:`summarize` / :func:`render_summary` produce the sweep-end
-digest ("N simulated / M disk / K memo, p50/p95 cell wall time, tier
-mix").
+digest ("N simulated / M disk / K memo, trace front-end total, p50/p95
+cell wall time net of trace builds, tier mix").
 """
 
 from __future__ import annotations
@@ -95,14 +100,16 @@ def summarize(records: list[dict]) -> dict:
     walls = []
     total_wall = 0.0
     spec_s = 0.0
+    trace_s = 0.0
     workers = set()
     for r in records:
         src = r.get("source", "simulated")
         sources[src] = sources.get(src, 0) + 1
         total_wall += r.get("wall_s", 0.0)
+        trace_s += r.get("trace_s", 0.0)
         workers.add(r.get("worker"))
         if src == "simulated":
-            walls.append(r.get("wall_s", 0.0))
+            walls.append(r.get("wall_s", 0.0) - r.get("trace_s", 0.0))
             spec_s += r.get("spec_s", 0.0)
             tier = r.get("loop_used") or "unknown"
             tiers[tier] = tiers.get(tier, 0) + 1
@@ -120,6 +127,7 @@ def summarize(records: list[dict]) -> dict:
         "wall_p50_s": percentile(walls, 50),
         "wall_p95_s": percentile(walls, 95),
         "spec_total_s": spec_s,
+        "trace_total_s": trace_s,
         "workers": len(workers),
     }
 
@@ -131,14 +139,15 @@ def render_summary(summary: dict) -> str:
         f"# telemetry: {summary['cells']} cells — "
         f"{s['simulated']} simulated / {s['disk']} disk / "
         f"{s['memo']} memo ({summary['workers']} worker"
-        f"{'s' if summary['workers'] != 1 else ''})"
+        f"{'s' if summary['workers'] != 1 else ''})",
+        f"#   trace front-end: {summary['trace_total_s']:.2f} s",
     ]
     if s["simulated"]:
         tiers = ", ".join(
             f"{tier} {n}" for tier, n in sorted(summary["tiers"].items())
         )
         out.append(
-            f"#   simulated cell wall time: p50 "
+            f"#   simulated cell wall time net of trace builds: p50 "
             f"{1e3 * summary['wall_p50_s']:.0f} ms, p95 "
             f"{1e3 * summary['wall_p95_s']:.0f} ms, total "
             f"{summary['wall_total_s']:.2f} s"

@@ -36,6 +36,19 @@ from ..isa.opcodes import FUClass, Opcode
 from ..isa.program import Program
 from ..vm.machine import VM, TraceRecorder
 
+#: Version of the program -> trace derivation: the functional VM's
+#: semantics, the :class:`TraceRecorder` format, and the static-table
+#: derivation (:func:`build_static_table`, instruction sizes/pcs).  The
+#: engine's result store keys cells on program fingerprints plus this
+#: constant, never on the recorded trace, so **bump it whenever any of
+#: those change**; ``tests/test_trace_pins.py`` fails loudly when a
+#: pinned program's trace moves without a bump.
+TRACE_VERSION = 1
+
+#: Functional-VM instruction cap of every trace the suite records
+#: (part of the result-store key: a different cap could cut a trace).
+TRACE_MAX_INSTRUCTIONS = 5_000_000
+
 
 @dataclass
 class StaticTable:
@@ -229,7 +242,7 @@ class TraceBundle:
 def record_trace(
     program: Program,
     cfg: MachineConfig,
-    max_instructions: int = 5_000_000,
+    max_instructions: int = TRACE_MAX_INSTRUCTIONS,
 ) -> TraceBundle:
     """Run a program on the functional VM and capture its trace."""
     vm = VM(program)

@@ -96,12 +96,13 @@ def test_cache_invalidated_by_scale_change(tmp_path):
 
 
 def test_cache_key_sensitivity():
+    # the fifth argument: the members' compiled-program fingerprints
     params = SimParams()
-    base = cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("f1",), 2)
-    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("f1",), 2) == base
-    assert cache_key(PAPER_MACHINE, params, "CSMT", ("a",), ("f1",), 2) != base
-    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("f2",), 2) != base
-    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("f1",), 4) != base
+    base = cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("p1",), 2)
+    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("p1",), 2) == base
+    assert cache_key(PAPER_MACHINE, params, "CSMT", ("a",), ("p1",), 2) != base
+    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("p2",), 2) != base
+    assert cache_key(PAPER_MACHINE, params, "SMT", ("a",), ("p1",), 4) != base
 
 
 def test_result_cache_survives_corrupt_entry(tmp_path):

@@ -608,10 +608,10 @@ def test_distinct_disk_cache_keys_per_preset(session):
     keys = set()
     from repro.engine.cache import cache_key
 
+    programs = session._program_prints(members)
     for preset in ("paper", "l2", "l2+prefetch"):
         cfg = session.resolve_cfg(preset)
-        keys.add(cache_key(cfg, params, "SMT", members,
-                           ("f1", "f2", "f3", "f4"), 2))
+        keys.add(cache_key(cfg, params, "SMT", members, programs, 2))
     assert len(keys) == 3
 
 

@@ -237,7 +237,9 @@ def test_telemetry_sources_and_jsonl(tmp_path):
         "memo": 1, "disk": 1, "simulated": 1, "failed": 0,
     }
     assert s["tiers"] == {"specialized": 1}
-    assert s["wall_p50_s"] == sim["wall_s"]
+    # percentiles are over the per-cell wall net of trace builds
+    assert s["wall_p50_s"] == sim["wall_s"] - sim["trace_s"]
+    assert s["trace_total_s"] == sim["trace_s"]
 
 
 def test_telemetry_parallel_workers():
