@@ -1,26 +1,16 @@
 #!/usr/bin/env python3
 """Tracked core-speed benchmark: cycles simulated per second.
 
-Measures the simulator's per-cell run-loop tiers — the scenario-
-specialised codegen loop (`repro.pipeline.specialize`), the generic
-event-driven fast path (`Processor._run_fast`, bulk idle-cycle
-skipping) and the per-cycle reference loop (`Processor._run_reference`)
-— across a matrix of (policy x memory preset x thread count x machine
-scenario) scenarios, and writes the results to ``BENCH_core.json`` at
-the repository root.  Every scenario also cross-checks that all tiers
-produce bit-identical ``SimStats``, so the benchmark doubles as an
-end-to-end equivalence smoke test, and records which tier actually ran
-(``engine``) so a silent specialisation fallback shows up in the
-tracked artifact.
-
-Schema 4 adds the sweep-throughput dimension: the lockstep batch tier
-(`repro.pipeline.batch`) runs thousands of eligible sweep cells as
-lanes of one vectorised execution, so its natural unit is *cells* per
-second, not cycles.  The ``batch-sweep-*`` scenario times a large
-quick-scale sweep group through ``run_batch`` against per-cell
-specialised execution (estimated from a stride subsample, which is
-also bit-identity-checked lane by lane) and records ``batch_cps`` and
-``batch_speedup``.
+Measures the simulator's two run-loop tiers — the scenario-
+specialised codegen loop (`repro.pipeline.specialize`, with bulk
+idle-cycle skipping) and the per-cycle reference loop
+(`Processor._run_reference`) — across a matrix of (policy x memory
+preset x thread count x machine scenario) scenarios, and writes the
+results to ``BENCH_core.json`` at the repository root.  Every scenario
+also cross-checks that both tiers produce bit-identical ``SimStats``,
+so the benchmark doubles as an end-to-end equivalence smoke test, and
+records which tier actually ran (``engine``) so a silent
+specialisation fallback shows up in the tracked artifact.
 
 Usage::
 
@@ -29,14 +19,14 @@ Usage::
     python benchmarks/bench_core.py --quick \
         --baseline benchmarks/BENCH_core.baseline.json
 
-With ``--baseline``, per-scenario specialised- and fast-path throughput
-is compared against the committed baseline (matched by scenario label)
-and the script exits non-zero when any scenario regresses by more than
-``--fail-threshold`` (default 25%).  A missing baseline file skips the
-check by default (so the gate arms itself once a baseline is
-committed); with ``--require-baseline`` a missing file is a hard error
-— CI uses that, so the gate can never be silently disarmed by the
-baseline going missing.
+With ``--baseline``, per-scenario specialised-loop throughput
+(``spec_cps``) is compared against the committed baseline (matched by
+scenario label) and the script exits non-zero when any scenario
+regresses by more than ``--fail-threshold`` (default 25%).  A missing
+baseline file skips the check by default (so the gate arms itself once
+a baseline is committed); with ``--require-baseline`` a missing file
+is a hard error — CI uses that, so the gate can never be silently
+disarmed by the baseline going missing.
 
 This is a standalone script (not a pytest-benchmark suite) so CI can
 run it directly and archive the JSON artifact; see
@@ -71,8 +61,9 @@ from repro.pipeline.processor import Processor, SimParams
 #: machine scenario).  ``membound-smt-1t`` is the headline memory-bound
 #: scenario: a single pointer-chasing thread on slow banked DRAM spends
 #: ~90% of its cycles stalled, which is exactly the span the
-#: fast-forward core skips.  ``narrow-oosi-2t`` runs on a non-default
-#: machine scenario so cross-machine code paths are speed-tracked too.
+#: specialised loop's fast-forward skips.  ``narrow-oosi-2t`` runs on
+#: a non-default machine scenario so cross-machine code paths are
+#: speed-tracked too.
 SCENARIOS = [
     ("paper-ccsi-4t", "CCSI AS", "paper", 4,
      ("mcf", "idct", "gsmencode", "colorspace"), "paper"),
@@ -116,15 +107,14 @@ def _time_run(proc: Processor):
 
 #: run-loop tiers measured per scenario, mapped to Processor kwargs
 TIERS = {
-    "spec": {"run_loop": "auto"},
-    "fast": {"run_loop": "fast"},
+    "spec": {},
     "ref": {"force_reference": True},
 }
 
 
 def measure_scenario(label, policy_name, memory, n_threads, workload,
                      machine, quick: bool, reps: int) -> dict:
-    """Best-of-``reps`` wall time for all run-loop tiers on one
+    """Best-of-``reps`` wall time for both run-loop tiers on one
     scenario."""
     cfg = replace(get_scenario(machine).machine,
                   memory=get_memory_config(memory))
@@ -151,17 +141,15 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
         best[tier] = min(times)
         stats[tier] = s
         if tier == "spec":
-            # which tier the "auto" dispatch actually took — a silent
-            # codegen fallback shows up here as "fast"
+            # which tier the default dispatch actually took — a silent
+            # codegen fallback shows up here as "reference"
             engine = proc.loop_used
 
-    spec, fast, ref = stats["spec"], stats["fast"], stats["ref"]
-    identical = (
-        spec.to_dict() == ref.to_dict() == fast.to_dict()
-    )
+    spec, ref = stats["spec"], stats["ref"]
+    identical = spec.to_dict() == ref.to_dict()
     if not identical:
         print(f"!! {label}: run-loop tiers DIVERGED", file=sys.stderr)
-    spec_s, fast_s, ref_s = best["spec"], best["fast"], best["ref"]
+    spec_s, ref_s = best["spec"], best["ref"]
     return {
         "label": label,
         "policy": policy_name,
@@ -170,106 +158,23 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
         "n_threads": n_threads,
         "workload": list(workload),
         "engine": engine,
-        "cycles": fast.cycles,
-        "instructions": fast.instructions,
-        "vertical_waste_frac": round(fast.vertical_waste_frac, 4),
+        "cycles": spec.cycles,
+        "instructions": spec.instructions,
+        "vertical_waste_frac": round(spec.vertical_waste_frac, 4),
         "spec_seconds": round(spec_s, 6),
-        "fast_seconds": round(fast_s, 6),
         "ref_seconds": round(ref_s, 6),
         "spec_cps": round(spec.cycles / spec_s, 1),
-        "fast_cps": round(fast.cycles / fast_s, 1),
         "ref_cps": round(ref.cycles / ref_s, 1),
-        # fast path vs reference loop (PR 3's tracked ratio) ...
-        "speedup": round(ref_s / fast_s, 3),
-        # ... and specialised loop vs fast path (this PR's)
-        "spec_speedup": round(fast_s / spec_s, 3),
-        "identical": identical,
-    }
-
-
-def measure_batch_sweep(quick: bool) -> dict:
-    """Cells/second of the lockstep batch tier on one large sweep
-    group, vs per-cell specialised execution.
-
-    The scenario is the batch tier's home turf and a shape `repro
-    --quick sweep --batch` actually produces: quick-scale SMT, four
-    threads, perfect memory (an eligible hierarchy), every 4-bench
-    mix in lexicographic order up to the lane budget.  The scalar
-    side would take minutes at full width, so it is estimated from a
-    32-cell stride subsample — each sampled cell is also compared
-    bit-for-bit against its batch lane, so the scenario doubles as a
-    batch-vs-scalar identity smoke test.  Both sides are best-of-2
-    (the file's best-of-reps convention); more repetitions buy
-    nothing because each run already self-averages over thousands of
-    lanes.
-    """
-    from itertools import product
-
-    from repro.kernels.suite import BENCH_ORDER
-    from repro.pipeline import batch as batch_mod
-
-    n_cells = 3072 if quick else 4096
-    cfg = get_scenario("paper").machine
-    policy = get_policy("SMT")
-    n_threads = 4
-    # quick-scale simulation length regardless of --quick: this is
-    # what the engine's QUICK_SCALE sweep runs, and shorter runs
-    # under-amortise segment construction into the throughput number
-    params = SimParams(target_instructions=6_000, timeslice=3_000,
-                       perfect_memory=True, seed=12345)
-    cells = list(product(BENCH_ORDER, repeat=4))[:n_cells]
-    bundles = {b: get_trace(b, KERNEL_SCALE, cfg) for b in BENCH_ORDER}
-
-    # untimed warm-up for both sides (lazy trace tables, codegen memo)
-    batch_mod.run_batch(policy, cfg, params, n_threads, cells[:8],
-                        bundles)
-    Processor(policy, [bundles[m] for m in cells[0]], n_threads, cfg,
-              params).run()
-
-    batch_s = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        lanes = batch_mod.run_batch(policy, cfg, params, n_threads,
-                                    cells, bundles)
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    sample = list(range(0, n_cells, max(1, n_cells // 32)))
-    identical = True
-    sample_s = float("inf")
-    for rep in range(2):
-        t0 = time.perf_counter()
-        for i in sample:
-            stats = Processor(policy, [bundles[m] for m in cells[i]],
-                              n_threads, cfg, params).run()
-            if rep == 0 and stats.to_dict() != lanes[i].to_dict():
-                identical = False
-        sample_s = min(sample_s, time.perf_counter() - t0)
-    scalar_s = sample_s / len(sample) * n_cells
-    if not identical:
-        print("!! batch sweep: batch lanes DIVERGED from scalar",
-              file=sys.stderr)
-    return {
-        "label": f"batch-sweep-smt-{n_threads}t",
-        "policy": "SMT",
-        "memory": "paper (perfect)",
-        "machine": "paper",
-        "n_threads": n_threads,
-        "cells": n_cells,
-        "scalar_sample": len(sample),
-        "batch_seconds": round(batch_s, 6),
-        "scalar_seconds_est": round(scalar_s, 6),
-        "batch_cps": round(n_cells / batch_s, 1),
-        "scalar_cps": round(n_cells / scalar_s, 1),
-        "batch_speedup": round(scalar_s / batch_s, 3),
+        # specialised loop vs reference loop
+        "speedup": round(ref_s / spec_s, 3),
         "identical": identical,
     }
 
 
 def check_baseline(scenarios: list[dict], baseline_path: Path,
                    threshold: float, require: bool = False) -> int:
-    """Exit code 0/1: specialised-, fast- and batch-tier throughput vs
-    the committed baseline (metrics absent from either side are
-    skipped, so an old two-tier baseline still gates the fast path)."""
+    """Exit code 0/1: specialised-loop throughput (``spec_cps``) vs
+    the committed baseline, matched by scenario label."""
     if not baseline_path.exists():
         if require:
             print(f"FATAL: baseline {baseline_path} is missing but "
@@ -289,16 +194,13 @@ def check_baseline(scenarios: list[dict], baseline_path: Path,
         base = baseline.get(s["label"])
         if base is None:
             continue
-        for metric in ("spec_cps", "fast_cps", "batch_cps"):
-            if metric not in base or metric not in s:
-                continue
-            floor = base[metric] * (1.0 - threshold)
-            verdict = "ok" if s[metric] >= floor else "REGRESSED"
-            print(f"{s['label']:18s} {metric:8s} {s[metric]:12.0f} cps "
-                  f"(baseline {base[metric]:.0f}, floor {floor:.0f}) "
-                  f"{verdict}")
-            if s[metric] < floor:
-                failures.append(f"{s['label']}:{metric}")
+        floor = base["spec_cps"] * (1.0 - threshold)
+        verdict = "ok" if s["spec_cps"] >= floor else "REGRESSED"
+        print(f"{s['label']:18s} spec_cps {s['spec_cps']:12.0f} cps "
+              f"(baseline {base['spec_cps']:.0f}, floor {floor:.0f}) "
+              f"{verdict}")
+        if s["spec_cps"] < floor:
+            failures.append(f"{s['label']}:spec_cps")
     if failures:
         print(f"regression (> {threshold:.0%} below baseline) in: "
               f"{', '.join(failures)}", file=sys.stderr)
@@ -338,25 +240,18 @@ def main(argv=None) -> int:
               f"{r['machine']:7s} nt={nt} cycles={r['cycles']:7d} "
               f"spec={r['spec_cps']:12.0f} cps "
               f"[{r['engine']}] "
-              f"fast x{r['speedup']:4.2f} "
-              f"spec x{r['spec_speedup']:4.2f}"
+              f"x{r['speedup']:4.2f} vs reference"
               f"{'' if r['identical'] else ' !! MISMATCH'}")
 
-    b = measure_batch_sweep(args.quick)
-    results.append(b)
-    print(f"{b['label']:18s} {b['policy']:8s} {b['cells']} cells "
-          f"nt={b['n_threads']} "
-          f"batch={b['batch_cps']:8.1f} cells/s "
-          f"x{b['batch_speedup']:4.2f} vs specialised"
-          f"{'' if b['identical'] else ' !! MISMATCH'}")
-
     report = {
-        # schema 4: the batch-sweep scenario (cells/second of the
-        # lockstep batch tier, batch_cps/batch_speedup); schema 3
-        # added three run-loop tiers (specialised codegen / fast /
-        # reference) with per-scenario engine provenance; schema 2
-        # added the machine-scenario coordinate
-        "schema": 4,
+        # schema 5: two run-loop tiers (specialised codegen /
+        # reference) — the fast-path and lockstep batch tiers were
+        # deleted, so fast_*, spec_speedup and the batch-sweep scenario
+        # are gone and ``speedup`` is reference vs specialised; schema
+        # 4 added the batch-sweep scenario; schema 3 added per-scenario
+        # engine provenance; schema 2 added the machine-scenario
+        # coordinate
+        "schema": 5,
         "quick": args.quick,
         "reps": reps,
         "kernel_scale": KERNEL_SCALE,

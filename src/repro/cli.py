@@ -185,7 +185,6 @@ def cmd_sweep(args) -> int:
             memory=memory,
             machine=machine,
             resume=args.resume,
-            batch=args.batch,
         )
     except KeyboardInterrupt:
         _log.error(
@@ -578,48 +577,18 @@ def cmd_profile(args) -> int:
         max_cycles=scale.max_cycles,
         seed=scale.seed,
     )
-    engine = "reference" if args.reference else args.engine
-    if engine == "batch":
-        # the lockstep tier needs a *group*: all nine paper workloads
-        # under the chosen policy/threads run as one vectorised lane,
-        # and the chosen --workload's cell is the one reported
-        from .pipeline import batch as batch_mod
-
-        policy = get_policy(args.policy)
-        if not batch_mod.batch_eligible(policy, cfg, params):
-            _log.error(
-                "repro: profile --engine batch: this scenario is not "
-                "lockstep-eligible (split policies, non-flat memory "
-                "and non-round-robin priority eject to scalar tiers)"
-            )
-            return 2
-        cells = [tuple(WORKLOADS[w]) for w in WORKLOADS]
-        bmap = {
-            name: get_trace(name, scale.kernel_scale, cfg)
-            for members in cells for name in members
-        }
-        prof = cProfile.Profile()
-        prof.enable()
-        all_stats = batch_mod.run_batch(
-            policy, cfg, params, args.threads, cells, bmap
-        )
-        prof.disable()
-        stats = all_stats[list(WORKLOADS).index(args.workload)]
-        loop_used = f"batch ({len(cells)} cells)"
-    else:
-        proc = Processor(
-            get_policy(args.policy), bundles, args.threads, cfg, params,
-            run_loop="auto" if engine == "specialized" else engine,
-        )
-        prof = cProfile.Profile()
-        prof.enable()
-        stats = proc.run()
-        prof.disable()
-        loop_used = proc.loop_used
+    proc = Processor(
+        get_policy(args.policy), bundles, args.threads, cfg, params,
+        force_reference=args.reference,
+    )
+    prof = cProfile.Profile()
+    prof.enable()
+    stats = proc.run()
+    prof.disable()
     header = (
         f"# {args.policy} / {args.workload} / {args.threads}T / "
         f"{args.machine} / {args.memory or cfg.memory.name} — "
-        f"{loop_used} loop"
+        f"{proc.loop_used} loop"
     )
     print(header)
     print(f"# {stats.cycles} cycles, {stats.instructions} instructions, "
@@ -751,10 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", nargs="+", default=None,
                    metavar="SCENARIO",
                    help=machine_help + " — several sweep as an axis")
-    p.add_argument("--batch", action="store_true",
-                   help="run eligible cells in lockstep batch groups "
-                        "(the vectorised fourth run-loop tier; "
-                        "bit-identical, docs/performance.md)")
     p.add_argument("--resume", action="store_true",
                    help="skip cells already completed per the sweep "
                         "journal + store (requires --cache-dir)")
@@ -933,16 +898,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort", default="cumulative",
                    choices=("cumulative", "tottime", "ncalls"),
                    help="pstats sort key (default: cumulative)")
-    p.add_argument("--engine", default="specialized",
-                   choices=("batch", "specialized", "fast", "reference"),
-                   help="run-loop tier to profile: the lockstep "
-                        "batched executor (all nine workloads in one "
-                        "vectorised lane), the scenario-specialised "
-                        "codegen loop (default), the generic "
-                        "event-driven fast path, or the per-cycle "
-                        "reference loop (docs/performance.md)")
     p.add_argument("--reference", action="store_true",
-                   help="shorthand for --engine reference")
+                   help="profile the per-cycle reference loop instead "
+                        "of the scenario-specialised codegen loop "
+                        "(docs/performance.md)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also save the profile: *.pstats for the raw "
                         "marshalled form (pstats.Stats/snakeviz), "

@@ -13,8 +13,8 @@ class RoundRobinPriority:
     """Cycle ``t``: order = [t % n, (t % n)+1, ..., wrapping].
 
     ``orders`` is the full precomputed rotation table; cycle ``t`` uses
-    ``orders[t % len(orders)]``.  The fast simulation loop indexes it
-    directly (no method call per cycle); :meth:`order` remains for
+    ``orders[t % len(orders)]``.  The specialised loop generator
+    inlines it (no method call per cycle); :meth:`order` remains for
     everything off the hot path.
     """
 

@@ -140,12 +140,6 @@ class FaultPlan:
             None,
         )
 
-    def touches(self, cell_id: str) -> bool:
-        """True if any fault could ever fire for ``cell_id`` (any kind,
-        any attempt) — such cells must not join a batch group, where
-        per-cell injection points do not exist."""
-        return any(fnmatch(cell_id, s.cell) for s in self.specs)
-
 
 @dataclass
 class _State:

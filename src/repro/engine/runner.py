@@ -130,11 +130,11 @@ def cell_label(spec: tuple) -> str:
 
 #: One worker task: everything needed to reproduce a cell from scratch.
 #: (policy_name, member_names, n_threads, scale, cfg, reference,
-#: run_loop, spec_src, cell_id, attempt, fault_plan) — the cfg already
-#: carries the cell's machine- and memory-scenario coordinates and the
-#: scale its machine-rescaled timeslice; ``reference``/``run_loop``
-#: forward the session's run-loop choice (results are bit-identical
-#: across tiers, but the session must honour its contract);
+#: spec_src, cell_id, attempt, fault_plan) — the cfg already carries
+#: the cell's machine- and memory-scenario coordinates and the scale
+#: its machine-rescaled timeslice; ``reference`` forwards the session's
+#: run-loop choice (results are bit-identical across tiers, but the
+#: session must honour its contract);
 #: ``spec_src`` is the parent's pre-warmed ``(loop_key, source)``
 #: specialisation payload, or ``None`` — compiled code objects do not
 #: pickle, so workers ship *source* and compile locally; ``cell_id`` /
@@ -145,65 +145,11 @@ _CellPayload = tuple
 
 def _pool_warm_init() -> None:
     """Pool-worker initializer: pre-import the heavy modules (numpy,
-    the simulator, the specialiser, the batch executor) so the first
-    task a worker receives pays no import tax."""
+    the simulator, the specialiser) so the first task a worker receives
+    pays no import tax."""
     import numpy  # noqa: F401
 
-    from ..pipeline import batch, processor, specialize  # noqa: F401
-
-
-def _simulate_batch(payload: tuple) -> dict:
-    """Pool worker: run one whole batch group in lockstep
-    (:func:`repro.pipeline.batch.run_batch`) and return per-cell
-    serialized stats in cell order.
-
-    The payload carries the group-invariant context exactly once —
-    ``(policy_name, cell_members, n_threads, scale, cfg)`` — instead of
-    one config per cell; workers rebuild trace bundles locally through
-    the per-process trace memo, so each distinct benchmark is compiled
-    once per worker for the whole group.  Errors come back as an
-    ``{"error": ...}`` payload (never an exception), and the parent
-    falls the group's cells back to the scalar tiers.
-    """
-    policy_name, cell_members, n_threads, scale, cfg = payload
-    try:
-        from ..core.policies import get_policy
-        from ..kernels.suite import get_trace, trace_build_seconds
-        from ..pipeline import batch as batch_mod
-        from ..pipeline.processor import SimParams
-
-        t0 = time.perf_counter()
-        built = trace_build_seconds()
-        params = SimParams(
-            target_instructions=scale.target_instructions,
-            timeslice=scale.timeslice,
-            max_cycles=scale.max_cycles,
-            seed=scale.seed,
-        )
-        bundles = {
-            name: get_trace(name, scale.kernel_scale, cfg)
-            for members in cell_members
-            for name in members
-        }
-        trace_s = trace_build_seconds() - built
-        stats_list = batch_mod.run_batch(
-            get_policy(policy_name), cfg, params, n_threads,
-            cell_members, bundles,
-        )
-    except Exception as e:
-        return {"error": {
-            "category": "error",
-            "message": f"{type(e).__name__}: {e}",
-            "traceback": tb_module.format_exc(),
-        }}
-    import os
-
-    return {
-        "stats": [s.to_dict() for s in stats_list],
-        "pid": os.getpid(),
-        "wall_s": time.perf_counter() - t0,
-        "trace_s": trace_s,
-    }
+    from ..pipeline import processor, specialize  # noqa: F401
 
 
 def _simulate_cell(payload: _CellPayload) -> dict:
@@ -215,7 +161,7 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     exception, so the parent can charge the attempt and retry; only a
     real crash (or injected ``os._exit``) breaks the pool.
     """
-    (policy_name, members, n_threads, scale, cfg, reference, run_loop,
+    (policy_name, members, n_threads, scale, cfg, reference,
      spec_src, cell_id, attempt, fault_plan) = payload
     # Import here so fork-less start methods (spawn) stay cheap until
     # a task actually runs.
@@ -229,9 +175,7 @@ def _simulate_cell(payload: _CellPayload) -> dict:
             from ..pipeline import specialize
 
             specialize.adopt_source(*spec_src)
-        session = SimulationSession(
-            scale=scale, cfg=cfg, reference=reference, run_loop=run_loop
-        )
+        session = SimulationSession(scale=scale, cfg=cfg, reference=reference)
         stats = session.run(policy_name, members, n_threads)
     except Exception as e:
         return {"error": {
@@ -273,7 +217,6 @@ def _payload_base(session, spec) -> tuple:
         replace(session.scale, timeslice=params.timeslice),
         session.resolve_cfg(memory, machine),
         session.reference,
-        session.run_loop,
         spec_src,
     )
 
@@ -457,221 +400,6 @@ def _run_serial(run: _MatrixRun, specs: list[tuple]) -> None:
             if run.exhausted(spec):
                 run.fail(spec, category, message)
                 break
-
-
-# ------------------------------------------------------------ batch tier
-def _spec_coords(spec: tuple) -> tuple:
-    """(memory, machine) coordinates of one sweep spec."""
-    return (
-        spec[3] if len(spec) > 3 else None,
-        spec[4] if len(spec) > 4 else None,
-    )
-
-
-def _batch_groups(
-    run: _MatrixRun, specs: list[tuple]
-) -> tuple[list[list[tuple]], list[tuple]]:
-    """Partition ``specs`` into batchable groups (same
-    :func:`repro.pipeline.batch.batch_key`, lockstep-eligible, not
-    named by any fault plan) and the scalar leftovers.  Groups of one
-    cell gain nothing from lockstep and stay scalar."""
-    from ..pipeline import batch as batch_mod
-
-    session = run.session
-    plan = session.fault_plan
-    groups: dict[tuple, list[tuple]] = {}
-    leftover: list[tuple] = []
-    for spec in specs:
-        memory, machine = _spec_coords(spec)
-        pol, members, cfg, params, _ = session._cell(
-            spec[0], spec[1], spec[2], memory, machine
-        )
-        if plan.touches(cell_label(spec)) or not batch_mod.batch_eligible(
-            pol, cfg, params
-        ):
-            leftover.append(spec)
-            continue
-        key = batch_mod.batch_key(pol, cfg, params, spec[2], len(members))
-        groups.setdefault(key, []).append(spec)
-    out: list[list[tuple]] = []
-    for group in groups.values():
-        if len(group) < 2:
-            leftover.extend(group)
-        else:
-            out.append(group)
-    return out, leftover
-
-
-def _batch_payload(session, specs: list[tuple]) -> tuple:
-    """Group-invariant worker payload for one batch group: the resolved
-    config / params context rides once for the whole group instead of
-    once per cell."""
-    first = specs[0]
-    memory, machine = _spec_coords(first)
-    _, _, cfg, params, _ = session._cell(
-        first[0], first[1], first[2], memory, machine
-    )
-    return (
-        first[0],
-        [session.workload_members(s[1]) for s in specs],
-        first[2],
-        replace(session.scale, timeslice=params.timeslice),
-        cfg,
-    )
-
-
-def _adopt_batch(
-    run: _MatrixRun, specs: list[tuple], stats_list: list[SimStats],
-    wall_s: float, worker_pid: int | None = None, trace_s: float = 0.0,
-) -> None:
-    """Fold one finished batch group into the session, per cell: memo +
-    store + journal + telemetry records indistinguishable in shape from
-    serial scalar execution (``loop_used="batch"``, group wall and
-    trace-build time amortised per cell)."""
-    session = run.session
-    per_cell = wall_s / max(1, len(specs))
-    trace_per_cell = trace_s / max(1, len(specs))
-    for spec, stats in zip(specs, stats_list):
-        run.adopt(spec, stats, source="simulated", count_simulation=True)
-        memory, machine = _spec_coords(spec)
-        record = {
-            "policy": spec[0],
-            "workload": (
-                spec[1] if isinstance(spec[1], str)
-                else "+".join(spec[1])
-            ),
-            "n_threads": spec[2],
-            "memory": memory,
-            "machine": machine,
-            "source": "simulated",
-            "loop_used": "batch",
-            "wall_s": round(per_cell, 6),
-            "spec_s": 0.0,
-            "trace_s": round(trace_per_cell, 6),
-        }
-        if worker_pid is not None:
-            record["worker"] = worker_pid
-        session.telemetry.record(**run.charge_traces(spec, record))
-
-
-def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
-    """Execute batch groups in-process: resolve each cell against the
-    memo/disk cache first, run the misses in one lockstep lane, and
-    fall the whole group back to the scalar serial path if the batch
-    executor rejects it at runtime."""
-    session = run.session
-    for group in groups:
-        pending: list[tuple] = []
-        for spec in group:
-            stats, source = session.lookup_with_source(*spec)
-            if stats is not None:
-                memory, machine = _spec_coords(spec)
-                session._record_cell(
-                    spec[0], spec[1], spec[2], memory, machine,
-                    source, None, 0.0, 0.0,
-                )
-                run.results[spec] = stats
-                if run.journal is not None:
-                    run.journal.record_done(
-                        session.journal_key(spec), cell_label(spec),
-                        "cached",
-                    )
-            else:
-                pending.append(spec)
-        if not pending:
-            continue
-        t0 = time.perf_counter()
-        try:
-            payload = _batch_payload(session, pending)
-            from ..core.policies import get_policy
-            from ..kernels.suite import get_trace, trace_build_seconds
-            from ..pipeline import batch as batch_mod
-            from ..pipeline.processor import SimParams
-
-            built = trace_build_seconds()
-            policy_name, cell_members, n_threads, scale, cfg = payload
-            params = SimParams(
-                target_instructions=scale.target_instructions,
-                timeslice=scale.timeslice,
-                max_cycles=scale.max_cycles,
-                seed=scale.seed,
-            )
-            bundles = {
-                name: get_trace(name, scale.kernel_scale, cfg)
-                for members in cell_members
-                for name in members
-            }
-            trace_s = trace_build_seconds() - built
-            stats_list = batch_mod.run_batch(
-                get_policy(policy_name), cfg, params, n_threads,
-                cell_members, bundles,
-            )
-        except Exception as e:
-            log.warning(
-                "batch group of %d cell(s) failed in-process (%s: %s); "
-                "falling back to scalar execution",
-                len(pending), type(e).__name__, e,
-            )
-            _run_serial(run, pending)
-            continue
-        _adopt_batch(
-            run, pending, stats_list, time.perf_counter() - t0,
-            trace_s=trace_s,
-        )
-
-
-def _run_batch_pooled(
-    run: _MatrixRun, groups: list[list[tuple]], jobs: int
-) -> list[tuple]:
-    """Submit one worker task per batch group (cells are already
-    cache-resolved).  Returns the specs of every group that could not
-    be batch-executed — the caller reroutes them through the scalar
-    pooled path, which owns retries and failure accounting.  Batch
-    groups carry no fault-injected cells by construction, so a group
-    error is an ordinary fallback, not a conviction."""
-    session = run.session
-    pool = session._ensure_pool(jobs)
-    inflight = {}
-    fallback: list[tuple] = []
-    for specs in groups:
-        try:
-            fut = pool.submit(_simulate_batch, _batch_payload(session, specs))
-        except BrokenProcessPool:
-            fallback.extend(specs)
-            continue
-        inflight[fut] = specs
-    broken = False
-    for fut, specs in inflight.items():
-        try:
-            result = fut.result()
-        except Exception as e:
-            log.warning(
-                "batch group of %d cell(s) died on the pool (%s: %s); "
-                "rerouting to scalar execution",
-                len(specs), type(e).__name__, e,
-            )
-            if isinstance(e, BrokenProcessPool):
-                broken = True
-            fallback.extend(specs)
-            continue
-        if "error" in result:
-            log.warning(
-                "batch group of %d cell(s) failed (%s); rerouting to "
-                "scalar execution",
-                len(specs), result["error"]["message"],
-            )
-            fallback.extend(specs)
-            continue
-        _adopt_batch(
-            run, specs,
-            [SimStats.from_dict(d) for d in result["stats"]],
-            result["wall_s"], worker_pid=result.get("pid"),
-            trace_s=result.get("trace_s", 0.0),
-        )
-    if broken:
-        _kill_pool(pool)
-        session._discard_pool()
-    return fallback
 
 
 def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
@@ -883,7 +611,6 @@ def run_matrix(
     specs: list[tuple],
     jobs: int = 1,
     resume: bool = False,
-    batch: bool = False,
 ) -> dict[tuple, SimStats]:
     """Execute ``specs`` — (policy, workload, n_threads) triples,
     quadruples with a memory-preset name appended, or quintuples with
@@ -908,14 +635,6 @@ def run_matrix(
     in-process observers whose state cannot come back from pool
     workers, and silently dropping their events would corrupt whatever
     they are accumulating.
-
-    ``batch=True`` additionally groups eligible cells by scenario
-    shape (:func:`repro.pipeline.batch.batch_key`) and runs each group
-    in one lockstep numpy lane — one worker task per group instead of
-    per cell — with per-cell cache/journal/telemetry records and
-    bit-identical stats; cells a fault plan names, ineligible shapes,
-    and groups the executor rejects at runtime all fall back to the
-    scalar tiers above.
     """
     # duplicate specs (e.g. `--threads 2 2`) would each miss the cache
     # before any result lands, costing a redundant pool simulation
@@ -942,27 +661,9 @@ def run_matrix(
     prev_plan = faults.active()
     faults.install(session.fault_plan)
     outcome = "sweep-interrupted"
-    # the batch tier only plays where its bit-identity contract can
-    # hold: the session's default auto dispatch (a pinned scalar tier
-    # or reference run must be honoured) and no in-process hooks
-    use_batch = (
-        batch and not session.hooks and not session.reference
-        and session.run_loop == "auto"
-    )
     try:
         if jobs <= 1 or session.hooks:
-            scalar = specs
-            if use_batch:
-                groups, scalar = _batch_groups(run, specs)
-                if groups:
-                    log.debug(
-                        "matrix: %d cells in %d batch group(s), %d "
-                        "scalar",
-                        sum(len(g) for g in groups), len(groups),
-                        len(scalar),
-                    )
-                    _run_batch_serial(run, groups)
-            _run_serial(run, scalar)
+            _run_serial(run, specs)
         else:
             pending: list[tuple] = []
             for spec in specs:
@@ -995,16 +696,6 @@ def run_matrix(
                         "forked (%s: %s)", cell_label(spec),
                         type(e).__name__, e,
                     )
-            if use_batch and pending:
-                groups, pending = _batch_groups(run, pending)
-                if groups:
-                    log.debug(
-                        "matrix: %d cells in %d batch group(s), %d "
-                        "scalar",
-                        sum(len(g) for g in groups), len(groups),
-                        len(pending),
-                    )
-                    pending.extend(_run_batch_pooled(run, groups, jobs))
             log.debug(
                 "matrix: %d cells, %d cached, %d to simulate on %d "
                 "workers",

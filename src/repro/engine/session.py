@@ -30,7 +30,7 @@ from ..arch.scenarios import get_scenario
 from ..core.policies import ALL_POLICIES, Policy, get_policy
 from ..kernels.suite import get_program, get_trace, trace_build_seconds
 from ..obs.telemetry import TelemetryLedger
-from ..pipeline.processor import Processor, RUN_LOOPS, SimParams
+from ..pipeline.processor import Processor, SimParams
 from ..pipeline.stats import SimStats
 from ..pipeline.trace import TraceBundle
 from .cache import ResultCache, cache_key
@@ -93,11 +93,9 @@ class SimulationSession:
         memory: str | None = None,
         machine: str | None = None,
         reference: bool = False,
-        run_loop: str = "auto",
         telemetry: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | str | None = None,
-        batch: bool = False,
     ):
         if machine is not None:
             # a machine scenario supplies the whole config (its own
@@ -112,18 +110,9 @@ class SimulationSession:
         self.jobs = max(1, jobs)
         self.hooks = tuple(hooks) if hooks else ()
         #: force the per-cycle reference simulation loop instead of the
-        #: event-driven fast path (``docs/performance.md``).  Results
+        #: specialised codegen loop (``docs/performance.md``).  Results
         #: are bit-identical, so cached entries are shared either way.
         self.reference = reference
-        #: run-loop tier handed to every Processor this session builds
-        #: ("auto" = specialised codegen loop with ``_run_fast``
-        #: fallback; see :data:`~repro.pipeline.processor.RUN_LOOPS`);
-        #: ``reference=True`` still wins via ``force_reference``
-        if run_loop not in RUN_LOOPS:
-            raise ValueError(
-                f"run_loop must be one of {RUN_LOOPS}, got {run_loop!r}"
-            )
-        self.run_loop = run_loop
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: durable sweep journal under the cache dir — the resumable
         #: scheduler's record of cell outcomes (``docs/robustness.md``);
@@ -142,12 +131,6 @@ class SimulationSession:
             else FaultPlan.parse(fault_plan) if fault_plan
             else FaultPlan.from_env()
         )
-        #: default for ``sweep(batch=...)``: group eligible cells by
-        #: scenario shape and run each group in one lockstep
-        #: numpy-vectorised lane (:mod:`repro.pipeline.batch`,
-        #: ``docs/performance.md``); results stay bit-identical to
-        #: scalar execution
-        self.batch = batch
         #: cells that exhausted their retry budget across this
         #: session's sweeps (:class:`~repro.engine.runner.CellFailure`)
         self.failures: list = []
@@ -408,7 +391,6 @@ class SimulationSession:
                 params,
                 hooks=self.hooks,
                 force_reference=self.reference,
-                run_loop=self.run_loop,
             )
             stats = proc.run()
             self.simulations += 1
@@ -526,10 +508,10 @@ class SimulationSession:
         payload a pool worker installs with
         :func:`repro.pipeline.specialize.adopt_source` — workers then
         compile shipped source instead of re-deriving it (code objects
-        do not pickle).  Returns ``None`` when the session's run-loop
-        tier never specialises or generation failed (workers fall back
+        do not pickle).  Returns ``None`` for a reference session, which
+        never specialises, or when generation failed (workers fall back
         exactly like the parent would)."""
-        if self.run_loop in ("fast", "reference") or self.reference:
+        if self.reference:
             return None
         from ..pipeline import specialize
 
@@ -683,7 +665,7 @@ class SimulationSession:
                 SMT, [bundle], 1, self.cfg,
                 replace(params, target_instructions=bundle.length),
                 hooks=self.hooks,
-                force_reference=self.reference, run_loop=self.run_loop,
+                force_reference=self.reference,
             )
             stats = proc.run()
             self.simulations += 1
@@ -709,7 +691,6 @@ class SimulationSession:
         memory=None,
         machine=None,
         resume: bool = False,
-        batch: bool | None = None,
     ) -> dict[tuple, SimStats]:
         """Run a policy × workload × thread-count matrix, optionally on
         a process pool.  Returns ``{(policy, workload, nt): SimStats}``;
@@ -733,13 +714,7 @@ class SimulationSession:
         up to ``retry.max_failures``.  ``resume=True`` first diffs the
         matrix against the journal + store and logs the resume plan;
         completed cells are never re-simulated either way
-        (``docs/robustness.md``).
-
-        ``batch=True`` (default: the session's ``batch`` flag) groups
-        eligible cells by scenario shape and runs each group in one
-        lockstep numpy lane (:mod:`repro.pipeline.batch`); ineligible
-        or fault-injected cells run on the scalar tiers, and every
-        result is bit-identical to a scalar sweep."""
+        (``docs/robustness.md``)."""
         from .runner import run_matrix
 
         if policies is None:
@@ -777,7 +752,6 @@ class SimulationSession:
         return run_matrix(
             self, specs, self.jobs if jobs is None else jobs,
             resume=resume,
-            batch=self.batch if batch is None else batch,
         )
 
     # ----------------------------------------------------- conveniences

@@ -10,7 +10,7 @@ lands as one flat record in the session's :class:`TelemetryLedger`:
 additionally carry ``error`` — the failure category — and
 ``attempts``; see ``docs/robustness.md``),
 ``loop_used``— run-loop tier for simulated cells (``specialized`` /
-``fast`` / ``reference``; ``None`` for cache hits),
+``reference``; ``None`` for cache hits),
 ``wall_s``   — wall-clock seconds to resolve the cell,
 ``spec_s``   — of which specialised-loop codegen+compile time,
 ``trace_s``  — of which trace front-end time: building the kernel

@@ -1,7 +1,8 @@
 """Scenario-specialised run-loop code generation.
 
-The fast path (:meth:`Processor._run_fast`) still re-evaluates per
-cycle a pile of facts that are constants once a scenario is resolved:
+The generic per-cycle loop (:meth:`Processor._run_reference`)
+re-evaluates per cycle a pile of facts that are constants once a
+scenario is resolved:
 the split level, the merge level, the memory class (flat vs
 hierarchical, blocking vs MSHR), whether multitasking is on, the
 priority rotation, and every scenario parameter (timeslice, penalties,
@@ -33,7 +34,7 @@ then ``compile()``d/``exec``d once and memoised by :func:`loop_key` —
 policy shape + :func:`machine_fingerprint` (the same canonical hash
 the disk cache keys on) + the scenario parameters the source inlines.
 Generation failures and verification rejections are memoised as
-``None`` so :meth:`Processor.run` falls back to ``_run_fast``, with
+``None`` so :meth:`Processor.run` falls back to ``_run_reference``, with
 the rule names + cell fingerprint logged through the ``repro``
 logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
@@ -44,9 +45,12 @@ and the worker installs the text with :func:`adopt_source` before its
 first ``run()`` (see ``repro.engine.runner``).
 
 Bit-identity with ``_run_reference`` across the full policy × machine
-× memory × thread matrix is enforced by ``tests/test_specialize.py``;
-the semantics replicated here are exactly those of ``_run_fast``
-(itself gated against the reference loop), fragment by fragment.
+× memory × thread matrix is enforced by ``tests/test_specialize.py``
+and ``tests/test_fast_forward.py``; the semantics replicated here are
+exactly those of the reference loop's stages (``_fetch``,
+``_merge_stage``, ``_dcache_probe``, ``_commit_thread``, ``_retire``),
+fragment by fragment, plus the idle-span skip of
+:meth:`Processor._fast_forward`.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ def get_specialized_loop(
 ):
     """Compiled monomorphic loop for one cell, or ``None`` if
     generation failed or was rejected by static verification (the
-    caller then uses ``_run_fast``).  Both outcomes are memoised by
+    caller then uses ``_run_reference``).  Both outcomes are memoised by
     :func:`loop_key`.
 
     Every fresh generation is verified by
@@ -209,14 +213,14 @@ def get_specialized_loop(
             _stats["rejected"] += 1
             _log.warning(
                 "specialised loop rejected before exec for %s "
-                "(rules: %s); falling back to _run_fast",
+                "(rules: %s); falling back to _run_reference",
                 cell, ", ".join(rules),
             )
         else:
             _stats["failures"] += 1
             _log.warning(
                 "specialised-loop generation failed for %s "
-                "(%s: %s); falling back to _run_fast",
+                "(%s: %s); falling back to _run_reference",
                 cell, type(e).__name__, e,
             )
         fn = None

@@ -103,7 +103,7 @@ class SimStats:
     #: the invariant ``sum(categories) == cycles * slots``.  Populated
     #: only by attribution runs (``Processor(attribute=True)``, always
     #: on the reference loop); empty otherwise, so non-attributed runs
-    #: stay bit-identical across the three run-loop tiers.
+    #: stay bit-identical across both run-loop tiers.
     attribution: dict = field(default_factory=dict)
 
     @property

@@ -8,7 +8,7 @@ simulator promises to any observer — events arrive in program order
 ``on_context_switch`` → ``on_run_end``), cycle arguments are monotone
 and consistent with the final counters, and attaching a hook never
 changes a single stat (hooked runs take the reference loop, which is
-bit-identical to the fast and specialised tiers).
+bit-identical to the specialised tier).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def test_on_stall_kinds_and_values():
 def test_hooks_do_not_change_results():
     """Attaching an observer must not perturb one counter — hooked runs
     take the reference loop, whose stats are bit-identical to the
-    unhooked specialised/fast tiers."""
+    unhooked specialised tier."""
     for policy, nt in (("SMT", 2), ("CCSI AS", 4), ("OOSI NS", 2)):
         log = EventLog()
         hooked = Processor(

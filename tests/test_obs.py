@@ -5,9 +5,9 @@ The load-bearing guarantee is the attribution identity: an attribution
 run (reference loop + slot accounting) must (a) account every
 issue-slot × cycle exactly once — ``sum(categories) == cycles *
 issue_width`` with ``useful == operations`` — and (b) leave every
-ordinary counter bit-identical to the specialised and fast tiers,
-across the same policy × machine × memory × nt matrix that gates those
-tiers.  Everything else (trace JSON shape, telemetry provenance, CLI
+ordinary counter bit-identical to the specialised tier, across the
+same policy × machine × memory × nt matrix that gates that tier.
+Everything else (trace JSON shape, telemetry provenance, CLI
 plumbing) is the reporting surface on top.
 """
 

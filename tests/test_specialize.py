@@ -2,11 +2,10 @@
 
 ``repro.pipeline.specialize`` generates a monomorphic run loop per
 resolved (policy, machine, memory, thread-count) cell; ``Processor.run``
-dispatches specialised → ``_run_fast`` → ``_run_reference``.  The tests
-here gate the generator the same way PR 3 gated the fast path: the
-generated loop must be *bit-identical* (every ``SimStats`` counter,
-memory/MSHR/writeback included) to the per-cycle reference loop across
-the full policy × machine × memory × nt matrix, the memo must hit on
+dispatches specialised → ``_run_reference``.  The generated loop must
+be *bit-identical* (every ``SimStats`` counter, memory/MSHR/writeback
+included) to the per-cycle reference loop across the full policy ×
+machine × memory × nt matrix, the memo must hit on
 fingerprint-equal configs, and every fallback edge (hooks,
 ``force_reference``, broken generation) must land on the right tier
 without changing results.
@@ -186,26 +185,15 @@ def test_hooks_and_force_reference_take_reference_loop():
     forced.run()
     assert forced.loop_used == "reference"
 
-    explicit = Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                         run_loop="reference")
-    explicit.run()
-    assert explicit.loop_used == "reference"
-
-    fast = Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                     run_loop="fast")
-    fast.run()
-    assert fast.loop_used == "fast"
-    assert fast.ff_skipped_cycles >= 0
-
-    with pytest.raises(ValueError):
-        Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                  run_loop="turbo")
+    default = Processor(BY_NAME["SMT"], traces, 2, cfg, params)
+    default.run()
+    assert default.loop_used == "specialized"
 
 
-def test_broken_generation_falls_back_to_fast(fresh_cache, monkeypatch):
+def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
     """A generator bug must not change results: pre-exec verification
     (``repro.analysis.loopcheck``) rejects the source, the dispatch
-    memoises the rejection and lands on ``_run_fast``."""
+    memoises the rejection and lands on ``_run_reference``."""
     from repro.analysis import LoopVerificationError
 
     traces = traces_for("paper")
@@ -219,7 +207,7 @@ def test_broken_generation_falls_back_to_fast(fresh_cache, monkeypatch):
     )
     proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
     stats = proc.run()
-    assert proc.loop_used == "fast"
+    assert proc.loop_used == "reference"
     assert specialize.cache_info()["rejected"] == 1
 
     ref = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params,
@@ -251,10 +239,7 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     fresh = SimulationSession(QUICK_SCALE)
     assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
 
-    # tiers that never specialise ship no payload
-    assert SimulationSession(
-        QUICK_SCALE, run_loop="fast"
-    ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
+    # a reference session never specialises and ships no payload
     assert SimulationSession(
         QUICK_SCALE, reference=True
     ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
