@@ -3,9 +3,9 @@
 from repro.harness.figures import fig13a, render_fig13a
 
 
-def test_fig13a_table(benchmark, runner, capsys):
+def test_fig13a_table(benchmark, session, capsys):
     rows = benchmark.pedantic(
-        fig13a, kwargs={"runner": runner}, rounds=1, iterations=1
+        fig13a, args=(session,), rounds=1, iterations=1
     )
     with capsys.disabled():
         print()

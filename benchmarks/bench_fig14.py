@@ -3,9 +3,9 @@
 from repro.harness.figures import fig14, render_speedup_table
 
 
-def test_fig14_ccsi_over_csmt(benchmark, runner, capsys):
+def test_fig14_ccsi_over_csmt(benchmark, session, capsys):
     rows = benchmark.pedantic(
-        fig14, kwargs={"runner": runner}, rounds=1, iterations=1
+        fig14, args=(session,), rounds=1, iterations=1
     )
     with capsys.disabled():
         print()

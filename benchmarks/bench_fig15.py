@@ -5,9 +5,9 @@ from repro.harness.figures import fig15, render_speedup_table
 COLS = ["COSI NS", "COSI AS", "OOSI NS", "OOSI AS"]
 
 
-def test_fig15_split_over_smt(benchmark, runner, capsys):
+def test_fig15_split_over_smt(benchmark, session, capsys):
     rows = benchmark.pedantic(
-        fig15, kwargs={"runner": runner}, rounds=1, iterations=1
+        fig15, args=(session,), rounds=1, iterations=1
     )
     with capsys.disabled():
         print()

@@ -3,9 +3,9 @@
 from repro.harness.figures import fig16, render_fig16
 
 
-def test_fig16_absolute_ipc(benchmark, runner, capsys):
+def test_fig16_absolute_ipc(benchmark, session, capsys):
     rows = benchmark.pedantic(
-        fig16, kwargs={"runner": runner}, rounds=1, iterations=1
+        fig16, args=(session,), rounds=1, iterations=1
     )
     with capsys.disabled():
         print()

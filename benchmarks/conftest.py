@@ -7,8 +7,8 @@ in ``benchmark.extra_info`` so `--benchmark-only` output doubles as a
 results table.
 
 All simulations flow through one shared
-:class:`repro.engine.SimulationSession`; the ``runner`` fixture wraps it
-in the :class:`ExperimentRunner` façade the figure generators take.
+:class:`repro.engine.SimulationSession` (the ``session`` fixture),
+which every figure generator takes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import ExperimentScale, SimulationSession
-from repro.harness.experiment import ExperimentRunner
 
 BENCH_SCALE = ExperimentScale(
     kernel_scale=0.15,
@@ -28,16 +27,3 @@ BENCH_SCALE = ExperimentScale(
 @pytest.fixture(scope="session")
 def session() -> SimulationSession:
     return SimulationSession(BENCH_SCALE)
-
-
-@pytest.fixture(scope="session")
-def runner(session) -> ExperimentRunner:
-    return ExperimentRunner(session=session)
-
-
-@pytest.fixture(scope="session")
-def warm_runner(runner) -> ExperimentRunner:
-    """Runner with the full policy matrix pre-populated (so the figure
-    benches measure figure assembly over a warm cache, and the first
-    bench to touch it measures the simulation cost itself)."""
-    return runner

@@ -8,12 +8,8 @@ Run:  python examples/paper_claims.py [--quick]
 import argparse
 import time
 
+from repro.engine import DEFAULT_SCALE, QUICK_SCALE, SimulationSession
 from repro.harness.claims import evaluate_claims, render_claims
-from repro.harness.experiment import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentRunner,
-)
 
 
 def main() -> None:
@@ -23,9 +19,9 @@ def main() -> None:
     args = ap.parse_args()
 
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
-    runner = ExperimentRunner(scale)
+    session = SimulationSession(scale)
     t0 = time.time()
-    claims = evaluate_claims(runner)
+    claims = evaluate_claims(session)
     print(render_claims(claims))
     n_hold = sum(c.holds for c in claims)
     print(f"\n{n_hold}/{len(claims)} claims hold "

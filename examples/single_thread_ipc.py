@@ -7,7 +7,7 @@ Run:  python examples/single_thread_ipc.py [--scale 1.0]
 
 import argparse
 
-from repro.harness.experiment import ExperimentRunner, ExperimentScale
+from repro.engine import ExperimentScale, SimulationSession
 from repro.harness.figures import fig13a, render_fig13a
 
 
@@ -17,8 +17,8 @@ def main() -> None:
                     help="kernel trip-count scale (1.0 = full)")
     args = ap.parse_args()
 
-    runner = ExperimentRunner(ExperimentScale(kernel_scale=args.scale))
-    rows = fig13a(runner=runner)
+    session = SimulationSession(ExperimentScale(kernel_scale=args.scale))
+    rows = fig13a(session)
     print(render_fig13a(rows))
     print(
         "\nClasses: l <= 1.6, m ~ 2-3, h >= 3.5 (measured IPCr). "

@@ -13,9 +13,11 @@ Public API tour
 * :mod:`repro.core`      — merging hardware, split-issue policies
   (CSMT/SMT/CCSI/COSI/OOSI x NS/AS), delay-buffer semantics;
 * :mod:`repro.pipeline`  — the cycle-accurate SMT timing simulator;
-* :mod:`repro.engine`    — the execution layer: sessions, parallel
-  sweeps, disk-backed result caching, simulator hooks;
-* :mod:`repro.harness`   — workloads and Figs. 13-16 regenerators.
+* :mod:`repro.engine`    — the execution layer and the one API every
+  experiment runs through: :class:`SimulationSession` (memo, disk
+  cache, parallel sweeps, simulator hooks);
+* :mod:`repro.harness`   — workloads and Figs. 13-16 regenerators,
+  each taking the session it reads results from.
 
 Quickstart
 ----------
@@ -27,8 +29,7 @@ True
 
 from .arch import PAPER_MACHINE, MachineConfig
 from .core.policies import ALL_POLICIES, Policy, get_policy
-from .engine import SimulationSession
-from .harness.experiment import ExperimentRunner, ExperimentScale
+from .engine import QUICK_SCALE, ExperimentScale, SimulationSession
 from .kernels.suite import SUITE, get_trace
 from .pipeline.processor import Processor, SimParams, run_single_thread
 
@@ -41,7 +42,6 @@ __all__ = [
     "Policy",
     "get_policy",
     "SimulationSession",
-    "ExperimentRunner",
     "ExperimentScale",
     "SUITE",
     "get_trace",
@@ -54,6 +54,4 @@ __all__ = [
 
 def quick_demo(policy: str = "CCSI AS", workload: str = "llhh"):
     """Run one small multithreaded simulation and return its stats."""
-    from .harness.experiment import with_quick_scale
-
-    return with_quick_scale().run(policy, workload, 4)
+    return SimulationSession(QUICK_SCALE).run(policy, workload, 4)

@@ -75,12 +75,8 @@ import logging
 from .arch.config import MEMORY_PRESETS
 from .arch.scenarios import MACHINE_PRESETS, get_scenario
 from .core.policies import BY_NAME
+from .engine import DEFAULT_SCALE, QUICK_SCALE, SimulationSession
 from .harness.claims import evaluate_claims, render_claims
-from .harness.experiment import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentRunner,
-)
 from .harness.figures import (
     FIG14_POLICIES,
     FIG15_POLICIES,
@@ -99,8 +95,8 @@ from .obs.logcfg import setup_logging
 _log = logging.getLogger("repro.cli")
 
 
-def _runner(args, retry=None) -> ExperimentRunner:
-    return ExperimentRunner(
+def _session(args, retry=None) -> SimulationSession:
+    return SimulationSession(
         QUICK_SCALE if args.quick else DEFAULT_SCALE,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
@@ -124,9 +120,8 @@ def _check_machines(names) -> int | None:
 def cmd_run(args) -> int:
     if (rc := _check_machines([args.machine] if args.machine else [])):
         return rc
-    r = _runner(args)
-    s = r.run(args.policy, args.workload, args.threads,
-              memory=args.memory, machine=args.machine)
+    s = _session(args).run(args.policy, args.workload, args.threads,
+                           memory=args.memory, machine=args.machine)
     print(json.dumps(s.summary(), indent=1))
     # the paper's flat model adds nothing beyond the summary's
     # icache/dcache miss rates; hierarchies get the per-level breakdown
@@ -164,7 +159,7 @@ def cmd_sweep(args) -> int:
         retries=args.retries,
         max_failures=max_failures,
     )
-    session = _runner(args, retry=retry).session
+    session = _session(args, retry=retry)
     if args.resume and session.cache is None:
         _log.error("repro: sweep --resume requires --cache-dir")
         return 2
@@ -236,19 +231,19 @@ def cmd_sweep(args) -> int:
 def cmd_mem(args) -> int:
     from .harness.memreport import memory_sensitivity, render_memory_report
 
-    r = _runner(args)
+    session = _session(args)
     presets = args.memory or list(MEMORY_PRESETS)
     if args.jobs > 1:
         # fan cold preset cells over the pool; memory_sensitivity then
         # reads them from the memo
-        r.session.sweep(
+        session.sweep(
             policies=[args.policy],
             workloads=[args.workload],
             n_threads=(args.threads,),
             memory=tuple(presets),
         )
     rows = memory_sensitivity(
-        r, args.policy, args.workload, args.threads, presets
+        session, args.policy, args.workload, args.threads, presets
     )
     print(render_memory_report(rows, args.policy, args.workload,
                                args.threads))
@@ -270,18 +265,18 @@ def cmd_machine(args) -> int:
     )
     if (rc := _check_machines(machines)):
         return rc
-    r = _runner(args)
+    session = _session(args)
     if args.jobs > 1:
         # fan cold scenario cells over the pool; machine_sensitivity
         # then reads them from the memo
-        r.session.sweep(
+        session.sweep(
             policies=[args.policy],
             workloads=[args.workload],
             n_threads=(args.threads,),
             machine=tuple(machines),
         )
     rows = machine_sensitivity(
-        r, args.policy, args.workload, args.threads, machines
+        session, args.policy, args.workload, args.threads, machines
     )
     print(render_machine_report(rows, args.policy, args.workload,
                                 args.threads))
@@ -295,12 +290,12 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def _prewarm(r: ExperimentRunner, args, policies=None) -> None:
+def _prewarm(session: SimulationSession, args, policies=None) -> None:
     """With ``--jobs N``, fill the needed slice of the matrix through
     the parallel sweep first so figure/claim generation reads from the
     memo."""
     if args.jobs > 1:
-        r.session.sweep(policies=policies, n_threads=(2, 4))
+        session.sweep(policies=policies, n_threads=(2, 4))
 
 
 #: Policies each figure actually touches (prewarm slice)
@@ -312,14 +307,14 @@ _FIG_POLICIES = {
 
 
 def cmd_fig(args) -> int:
-    r = _runner(args)
+    session = _session(args)
     if args.number == "why":
         from .harness.figures import fig_why, render_fig_why
 
         # attribution pins the reference loop and bypasses the pool —
         # no --jobs prewarm applies
         print(render_fig_why(
-            fig_why(runner=r, workload=args.workload,
+            fig_why(session, workload=args.workload,
                     n_threads=args.threads)
         ))
         return 0
@@ -333,13 +328,13 @@ def cmd_fig(args) -> int:
         if args.jobs > 1:
             # fan the full policy x workload x machine matrix over the
             # pool; fig_machine then reads every cell from the memo
-            r.session.sweep(
+            session.sweep(
                 n_threads=(2, 4),
                 machine=tuple(
                     m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS
                 ),
             )
-        print(render_fig_machine(fig_machine(runner=r)))
+        print(render_fig_machine(fig_machine(session)))
         return 0
     if args.number == "mem":
         from .harness.figures import fig_mem, render_fig_mem
@@ -350,37 +345,37 @@ def cmd_fig(args) -> int:
             # reads every cell from the memo
             from .harness.figures import FIG_MEM_PRESETS
 
-            r.session.sweep(
+            session.sweep(
                 n_threads=(2, 4),
                 memory=tuple(
                     p for p in FIG_MEM_PRESETS if p in MEMORY_PRESETS
                 ),
             )
-        print(render_fig_mem(fig_mem(runner=r)))
+        print(render_fig_mem(fig_mem(session)))
         return 0
     number = int(args.number)
     if number in _FIG_POLICIES:
-        _prewarm(r, args, _FIG_POLICIES[number])
+        _prewarm(session, args, _FIG_POLICIES[number])
     if number == 13:
-        print(render_fig13a(fig13a(runner=r)))
+        print(render_fig13a(fig13a(session)))
     elif number == 14:
         print("Fig. 14: CCSI speedup over CSMT (%)")
-        print(render_speedup_table(fig14(runner=r), ["NS", "AS"]))
+        print(render_speedup_table(fig14(session), ["NS", "AS"]))
     elif number == 15:
         print("Fig. 15: COSI/OOSI speedup over SMT (%)")
         print(render_speedup_table(
-            fig15(runner=r),
+            fig15(session),
             ["COSI NS", "COSI AS", "OOSI NS", "OOSI AS"],
         ))
     else:  # number == 16: argparse choices guarantee the range
-        print(render_fig16(fig16(runner=r)))
+        print(render_fig16(fig16(session)))
     return 0
 
 
 def cmd_claims(args) -> int:
-    r = _runner(args)
-    _prewarm(r, args)
-    claims = evaluate_claims(r)
+    session = _session(args)
+    _prewarm(session, args)
+    claims = evaluate_claims(session)
     print(render_claims(claims))
     return 0 if all(c.holds for c in claims) else 1
 
@@ -390,7 +385,7 @@ def cmd_waste(args) -> int:
         ["CSMT", "CCSI AS", "SMT", "COSI AS", "OOSI AS"],
         args.workload,
         args.threads,
-        runner=_runner(args),
+        _session(args),
     )
     print(render_waste(rows))
     return 0
@@ -403,10 +398,10 @@ def cmd_why(args) -> int:
     from .harness.figures import FIG16_POLICIES
     from .obs import render_why, why_rows
 
-    r = _runner(args)
+    session = _session(args)
     policies = args.policies or FIG16_POLICIES
     rows = why_rows(
-        r, policies, args.workload, args.threads,
+        session, policies, args.workload, args.threads,
         memory=args.memory, machine=args.machine,
     )
     print(render_why(rows))
@@ -418,7 +413,6 @@ def cmd_trace(args) -> int:
     Chrome trace-event JSON."""
     if (rc := _check_machines([args.machine] if args.machine else [])):
         return rc
-    from .engine import SimulationSession
     from .obs import TraceExporter
 
     exporter = TraceExporter(
@@ -556,7 +550,6 @@ def cmd_profile(args) -> int:
 
     from .arch.config import get_memory_config
     from .core.policies import get_policy
-    from .engine import QUICK_SCALE
     from .kernels.suite import get_trace
     from .pipeline.processor import Processor, SimParams
 
@@ -614,17 +607,17 @@ def cmd_profile(args) -> int:
 def cmd_report(args) -> int:
     from .harness.report import render_report
 
-    r = _runner(args)
-    _prewarm(r, args)
+    session = _session(args)
+    _prewarm(session, args)
     results = {
-        "fig13a": fig13a(runner=r),
-        "fig14": fig14(runner=r),
-        "fig15": fig15(runner=r),
-        "fig16": fig16(runner=r),
+        "fig13a": fig13a(session),
+        "fig14": fig14(session),
+        "fig15": fig15(session),
+        "fig16": fig16(session),
         "claims": [
             {"name": c.name, "paper": c.paper, "measured": c.measured,
              "holds": c.holds}
-            for c in evaluate_claims(r)
+            for c in evaluate_claims(session)
         ],
     }
     note = ("Quick scale." if args.quick else

@@ -8,7 +8,11 @@ names, thread count, scale, machine config) — and look traces up in
 the per-process trace memo of :mod:`repro.kernels.suite`; the parent
 builds the pending cells' traces before the pool forks, so forked
 workers inherit them, and trace bundles themselves (megabytes of
-flattened tables) never cross the process boundary.  Results come back as
+flattened tables) never cross the process boundary.  Nor does any
+specialised run loop: each worker generates, verifies and compiles the
+loops of the cells it runs, memoised per process exactly as a serial
+run memoises them, and the parent does no codegen for pooled cells.
+Results come back as
 ``{"stats": SimStats.to_dict(), "telemetry": <ledger record>}``
 payloads; stats are folded into the parent session's memo and disk
 cache, and the worker's telemetry record (tagged with the worker's
@@ -130,15 +134,12 @@ def cell_label(spec: tuple) -> str:
 
 #: One worker task: everything needed to reproduce a cell from scratch.
 #: (policy_name, member_names, n_threads, scale, cfg, reference,
-#: spec_src, cell_id, attempt, fault_plan) — the cfg already carries
-#: the cell's machine- and memory-scenario coordinates and the scale
-#: its machine-rescaled timeslice; ``reference`` forwards the session's
+#: cell_id, attempt, fault_plan) — the cfg already carries the cell's
+#: machine- and memory-scenario coordinates and the scale its
+#: machine-rescaled timeslice; ``reference`` forwards the session's
 #: run-loop choice (results are bit-identical across tiers, but the
-#: session must honour its contract);
-#: ``spec_src`` is the parent's pre-warmed ``(loop_key, source)``
-#: specialisation payload, or ``None`` — compiled code objects do not
-#: pickle, so workers ship *source* and compile locally; ``cell_id`` /
-#: ``attempt`` / ``fault_plan`` drive deterministic fault injection
+#: session must honour its contract); ``cell_id`` / ``attempt`` /
+#: ``fault_plan`` drive deterministic fault injection
 #: (:mod:`repro.engine.faults`).
 _CellPayload = tuple
 
@@ -162,7 +163,7 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     real crash (or injected ``os._exit``) breaks the pool.
     """
     (policy_name, members, n_threads, scale, cfg, reference,
-     spec_src, cell_id, attempt, fault_plan) = payload
+     cell_id, attempt, fault_plan) = payload
     # Import here so fork-less start methods (spawn) stay cheap until
     # a task actually runs.
     from .session import SimulationSession
@@ -171,10 +172,6 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     faults.begin_cell(cell_id, attempt)
     try:
         faults.maybe_crash_or_hang(cell_id, attempt)
-        if spec_src is not None:
-            from ..pipeline import specialize
-
-            specialize.adopt_source(*spec_src)
         session = SimulationSession(scale=scale, cfg=cfg, reference=reference)
         stats = session.run(policy_name, members, n_threads)
     except Exception as e:
@@ -202,12 +199,6 @@ def _payload_base(session, spec) -> tuple:
     memory = spec[3] if len(spec) > 3 else None
     machine = spec[4] if len(spec) > 4 else None
     params = session.params(machine)
-    # pre-warm the specialised-loop source once per distinct cell
-    # shape in the parent (the generator memoises by loop key, so
-    # repeated shapes are free) and ship it as text
-    spec_src = session.prewarm_specialization(
-        spec[0], spec[1], spec[2], memory, machine
-    )
     return (
         spec[0],
         session.workload_members(spec[1]),
@@ -217,7 +208,6 @@ def _payload_base(session, spec) -> tuple:
         replace(session.scale, timeslice=params.timeslice),
         session.resolve_cfg(memory, machine),
         session.reference,
-        spec_src,
     )
 
 

@@ -495,60 +495,6 @@ class SimulationSession:
             attempts=failure.attempts,
         )
 
-    def prewarm_specialization(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ) -> tuple | None:
-        """Generate + compile the specialised run loop for one cell in
-        *this* process and return the picklable ``(key, source)``
-        payload a pool worker installs with
-        :func:`repro.pipeline.specialize.adopt_source` — workers then
-        compile shipped source instead of re-deriving it (code objects
-        do not pickle).  Returns ``None`` for a reference session, which
-        never specialises, or when generation failed (workers fall back
-        exactly like the parent would)."""
-        if self.reference:
-            return None
-        from ..pipeline import specialize
-
-        policy, members, cfg, params, _ = self._cell(
-            policy, workload, n_threads, memory, machine
-        )
-        try:
-            key, src = specialize.source_for(
-                policy, cfg, params, n_threads, len(members)
-            )
-            if (
-                specialize.get_specialized_loop(
-                    policy, cfg, params, n_threads, len(members)
-                )
-                is None
-            ):
-                return None
-        except Exception:
-            if specialize.STRICT:
-                raise
-            return None
-        return key, src
-
-    def lookup(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ):
-        """Memo/disk-cache probe that never simulates (``None`` on
-        miss)."""
-        return self.lookup_with_source(
-            policy, workload, n_threads, memory, machine
-        )[0]
-
     def lookup_with_source(
         self,
         policy: Policy | str,
@@ -557,9 +503,10 @@ class SimulationSession:
         memory: str | None = None,
         machine: str | None = None,
     ) -> tuple[SimStats | None, str | None]:
-        """Like :meth:`lookup`, but also reports where the result came
-        from: ``"memo"``, ``"disk"``, or ``None`` on a miss — the
-        provenance half of the telemetry ledger.
+        """Memo/disk-cache probe that never simulates: ``(stats,
+        source)`` where ``source`` says where the result came from —
+        ``"memo"``, ``"disk"``, or ``None`` on a miss (the provenance
+        half of the telemetry ledger).
 
         A hooked session never reads the disk cache: a disk hit would
         return stats for a simulation whose events never fired in this

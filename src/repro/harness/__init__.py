@@ -1,14 +1,11 @@
-"""Experiment harness: workloads, runner, and per-figure regenerators."""
+"""Experiment harness: workloads and per-figure regenerators.
 
+Every regenerator takes the :class:`repro.engine.SimulationSession` it
+reads results from; the scales are re-exported from the engine.
+"""
+
+from ..engine.session import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
 from .claims import Claim, evaluate_claims, render_claims
-from .experiment import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentRunner,
-    ExperimentScale,
-    default_runner,
-    with_quick_scale,
-)
 from .machreport import (
     MachineRow,
     machine_sensitivity,
@@ -39,10 +36,7 @@ __all__ = [
     "render_claims",
     "DEFAULT_SCALE",
     "QUICK_SCALE",
-    "ExperimentRunner",
     "ExperimentScale",
-    "default_runner",
-    "with_quick_scale",
     "FIG16_POLICIES",
     "fig13a",
     "fig14",

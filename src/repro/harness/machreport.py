@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..arch.scenarios import MACHINE_PRESETS, get_scenario
+from ..engine.session import SimulationSession
 from ..pipeline.stats import SimStats
 
 
@@ -32,7 +33,7 @@ class MachineRow:
 
 
 def machine_sensitivity(
-    runner,
+    session: SimulationSession,
     policy: str,
     workload: str,
     n_threads: int,
@@ -42,7 +43,7 @@ def machine_sensitivity(
     if machines is None:
         machines = list(MACHINE_PRESETS)
     return [
-        MachineRow(m, runner.run(policy, workload, n_threads, machine=m))
+        MachineRow(m, session.run(policy, workload, n_threads, machine=m))
         for m in machines
     ]
 

@@ -98,7 +98,7 @@ def attribution_bar(fractions: dict[str, float], width: int = 32) -> str:
 
 
 def why_rows(
-    runner,
+    session,
     policies,
     workload: str,
     n_threads: int,
@@ -107,12 +107,10 @@ def why_rows(
 ) -> list[dict]:
     """Attribution breakdown per policy for one (workload, nt) cell.
 
-    ``runner`` is an :class:`~repro.harness.experiment.ExperimentRunner`
-    or anything exposing ``.session``; each policy costs one
-    reference-loop simulation (memoised: a cached result that already
-    carries attribution is reused).
+    Each policy costs one reference-loop simulation in ``session`` (a
+    :class:`~repro.engine.SimulationSession`; memoised: a cached result
+    that already carries attribution is reused).
     """
-    session = getattr(runner, "session", runner)
     rows = []
     for pol in policies:
         s = session.attribute(pol, workload, n_threads, memory, machine)

@@ -39,10 +39,12 @@ the rule names + cell fingerprint logged through the ``repro``
 logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
 
-Process-pool sweeps cannot pickle code objects, so workers ship
-*source*: the parent pre-warms :func:`source_for` per distinct cell
-and the worker installs the text with :func:`adopt_source` before its
-first ``run()`` (see ``repro.engine.runner``).
+The memo is per process.  A process-pool worker generates, verifies
+and compiles the loops of the cells it runs, exactly as a serial run
+does; nothing is shipped from the parent (``repro.engine.runner``).
+Generation is under a tenth of a loop's cost (verification and
+``compile()`` are the rest), so shipping generated source to workers
+would save them almost nothing.
 
 Bit-identity with ``_run_reference`` across the full policy × machine
 × memory × thread matrix is enforced by ``tests/test_specialize.py``
@@ -74,23 +76,16 @@ LOOP_NAME = "__specialized_loop"
 #: falling back
 STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 
-#: statically verify every fresh generation before exec()
-#: (``repro.analysis.loopcheck``); set REPRO_SPECIALIZE_VERIFY=0 to
-#: skip the pre-exec check (the full matrix is still verified in CI)
-VERIFY = os.environ.get("REPRO_SPECIALIZE_VERIFY", "1") != "0"
-
-_sources: dict[tuple, str] = {}
 _loops: dict[tuple, object] = {}
 _stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
 
 
 def cache_info() -> dict:
     """Memo counters (for tests and diagnostics)."""
-    return dict(_stats, compiled=len(_loops), sources=len(_sources))
+    return dict(_stats, compiled=len(_loops))
 
 
 def clear_cache() -> None:
-    _sources.clear()
     _loops.clear()
     _stats.update(hits=0, misses=0, failures=0, rejected=0)
 
@@ -123,30 +118,6 @@ def loop_key(
     )
 
 
-def source_for(
-    policy: Policy,
-    cfg: MachineConfig,
-    params,
-    n_threads: int,
-    n_benches: int,
-) -> tuple[tuple, str]:
-    """``(key, source)`` for one cell, generating and memoising the
-    source if needed.  This is the pool-payload entry point: the tuple
-    is picklable and the worker side installs it with
-    :func:`adopt_source`."""
-    key = loop_key(policy, cfg, params, n_threads, n_benches)
-    src = _sources.get(key)
-    if src is None:
-        src = generate_loop_source(policy, cfg, params, n_threads, n_benches)
-        _sources[key] = src
-    return key, src
-
-
-def adopt_source(key, source: str) -> None:
-    """Install pre-generated source shipped from another process."""
-    _sources.setdefault(tuple(key), source)
-
-
 def get_specialized_loop(
     policy: Policy,
     cfg: MachineConfig,
@@ -157,7 +128,8 @@ def get_specialized_loop(
     """Compiled monomorphic loop for one cell, or ``None`` if
     generation failed or was rejected by static verification (the
     caller then uses ``_run_reference``).  Both outcomes are memoised by
-    :func:`loop_key`.
+    :func:`loop_key` in this process; the generated source itself is
+    not kept.
 
     Every fresh generation is verified by
     :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
@@ -180,22 +152,16 @@ def get_specialized_loop(
         f" nt={n_threads} machine={fingerprint}"
     )
     try:
-        src = _sources.get(key)
-        if src is None:
-            src = generate_loop_source(
-                policy, cfg, params, n_threads, n_benches
-            )
-            _sources[key] = src
-        if VERIFY:
-            # imported late: analysis.loopcheck imports this module
-            from ..analysis import loopcheck
+        src = generate_loop_source(policy, cfg, params, n_threads, n_benches)
+        # imported late: analysis.loopcheck imports this module
+        from ..analysis import loopcheck
 
-            findings = loopcheck.check_source(
-                policy, cfg, params, n_threads, n_benches, src,
-                label=f"<specialized {cell}>",
-            )
-            if findings:
-                raise loopcheck.LoopVerificationError(findings)
+        findings = loopcheck.check_source(
+            policy, cfg, params, n_threads, n_benches, src,
+            label=f"<specialized {cell}>",
+        )
+        if findings:
+            raise loopcheck.LoopVerificationError(findings)
         label = (
             f"<specialized {policy.merge}-merge/{policy.split}-split"
             f" nt={n_threads}>"

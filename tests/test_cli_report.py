@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.harness.experiment import ExperimentRunner, ExperimentScale
+from repro.engine import ExperimentScale, SimulationSession
 from repro.harness.report import render_report
 from repro.harness.waste import render_waste, waste_breakdown
 
@@ -15,13 +15,13 @@ TINY = ExperimentScale(
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(TINY)
+def session():
+    return SimulationSession(TINY)
 
 
 # ------------------------------------------------------------------ waste
-def test_waste_rows(runner):
-    rows = waste_breakdown(["CSMT", "SMT"], "llll", 2, runner=runner)
+def test_waste_rows(session):
+    rows = waste_breakdown(["CSMT", "SMT"], "llll", 2, session)
     assert [r.policy for r in rows] == ["CSMT", "SMT"]
     for r in rows:
         assert 0 <= r.vertical_frac <= 1
@@ -33,8 +33,8 @@ def test_waste_rows(runner):
         assert recomposed == pytest.approx(r.utilisation, rel=1e-6)
 
 
-def test_waste_render(runner):
-    rows = waste_breakdown(["CSMT"], "llll", 2, runner=runner)
+def test_waste_render(session):
+    rows = waste_breakdown(["CSMT"], "llll", 2, session)
     text = render_waste(rows)
     assert "CSMT" in text and "%" in text
 

@@ -180,16 +180,32 @@ def test_pool_reused_across_sweeps():
         s.close()
 
 
-def test_experiment_runner_rejects_session_with_knobs():
-    from repro.harness.experiment import ExperimentRunner
+def test_pooled_sweep_does_no_codegen_in_parent(tmp_path):
+    """Workers generate, verify and compile their own specialised
+    loops: a pooled sweep leaves the parent's specialiser memo
+    untouched, and its stats equal a serial sweep's."""
+    from repro.pipeline import specialize
 
-    shared = SimulationSession(TINY)
-    wrapped = ExperimentRunner(session=shared)
-    assert wrapped.session is shared
-    with pytest.raises(ValueError):
-        ExperimentRunner(TINY, session=shared)
-    with pytest.raises(ValueError):
-        ExperimentRunner(jobs=2, session=shared)
+    kw = dict(
+        policies=["SMT", "CCSI AS"],
+        workloads=["llll", "hhhh"],
+        n_threads=(2,),
+        memory=("l2",),
+    )
+    specialize.clear_cache()
+    pooled = SimulationSession(TINY, cache_dir=tmp_path / "pooled", jobs=2)
+    try:
+        rp = pooled.sweep(**kw)
+    finally:
+        pooled.close()
+    assert pooled.simulations == 4
+    assert specialize.cache_info()["misses"] == 0
+
+    serial = SimulationSession(TINY, cache_dir=tmp_path / "serial")
+    rs = serial.sweep(**kw)
+    assert {k: v.to_dict() for k, v in rs.items()} == {
+        k: v.to_dict() for k, v in rp.items()
+    }
 
 
 # ---------------------------------------------------------------- hooks

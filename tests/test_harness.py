@@ -1,11 +1,8 @@
-"""Experiment harness: workloads, runner memoisation, figure structure."""
+"""Experiment harness: workloads, session memoisation, figure structure."""
 
 import pytest
 
-from repro.harness.experiment import (
-    ExperimentRunner,
-    ExperimentScale,
-)
+from repro.engine import ExperimentScale, SimulationSession
 from repro.harness.figures import FIG16_POLICIES, fig14, fig15, fig16
 from repro.harness.workloads import (
     WORKLOAD_ORDER,
@@ -20,8 +17,8 @@ TINY = ExperimentScale(
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(TINY)
+def session():
+    return SimulationSession(TINY)
 
 
 def test_nine_workloads_in_paper_order():
@@ -68,29 +65,29 @@ def test_paper_fig13b_rows():
     assert WORKLOADS["mmhh"] == ("djpeg", "g721decode", "idct", "colorspace")
 
 
-def test_runner_memoises(runner):
-    a = runner.run("SMT", "llll", 2)
-    b = runner.run("SMT", "llll", 2)
+def test_runner_memoises(session):
+    a = session.run("SMT", "llll", 2)
+    b = session.run("SMT", "llll", 2)
     assert a is b
 
 
-def test_runner_accepts_policy_objects(runner):
+def test_runner_accepts_policy_objects(session):
     from repro.core.policies import SMT
 
-    assert runner.run(SMT, "llll", 2) is runner.run("SMT", "llll", 2)
+    assert session.run(SMT, "llll", 2) is session.run("SMT", "llll", 2)
 
 
-def test_speedup_definition(runner):
-    s = runner.speedup("SMT", "SMT", "llll", 2)
+def test_speedup_definition(session):
+    s = session.speedup("SMT", "SMT", "llll", 2)
     assert s == pytest.approx(0.0)
 
 
-def test_average_ipc_positive(runner):
-    assert runner.average_ipc("SMT", 2) > 0
+def test_average_ipc_positive(session):
+    assert session.average_ipc("SMT", 2) > 0
 
 
-def test_fig14_structure(runner):
-    rows = fig14(runner=runner)
+def test_fig14_structure(session):
+    rows = fig14(session)
     assert len(rows) == 2 * (len(WORKLOAD_ORDER) + 1)
     for r in rows:
         assert set(r) == {"threads", "workload", "NS", "AS"}
@@ -98,29 +95,81 @@ def test_fig14_structure(runner):
     assert len(avg_rows) == 2
 
 
-def test_fig15_structure(runner):
-    rows = fig15(runner=runner)
+def test_fig15_structure(session):
+    rows = fig15(session)
     assert len(rows) == 2 * (len(WORKLOAD_ORDER) + 1)
     for r in rows:
         assert {"COSI NS", "COSI AS", "OOSI NS", "OOSI AS"} <= set(r)
 
 
-def test_fig16_structure(runner):
-    rows = fig16(runner=runner)
+def test_fig16_structure(session):
+    rows = fig16(session)
     assert len(rows) == 2 * len(FIG16_POLICIES)
     for r in rows:
         assert r["ipc"] > 0
 
 
-def test_smt_beats_csmt_on_average(runner):
+def test_smt_beats_csmt_on_average(session):
     """Operation-level merging dominates cluster-level merging (paper
     Fig. 16: SMT > CSMT at both thread counts)."""
     for nt in (2, 4):
-        assert runner.average_ipc("SMT", nt) > runner.average_ipc(
+        assert session.average_ipc("SMT", nt) > session.average_ipc(
             "CSMT", nt
         ) * 0.99
 
 
-def test_four_threads_beat_two(runner):
+def test_four_threads_beat_two(session):
     for pol in ("CSMT", "SMT"):
-        assert runner.average_ipc(pol, 4) > runner.average_ipc(pol, 2) * 0.95
+        assert session.average_ipc(pol, 4) > session.average_ipc(pol, 2) * 0.95
+
+
+def _grid_rows(columns):
+    """A fixed synthetic average-IPC grid: rows out of thread order, so
+    the renderer's per-thread blocks are exercised."""
+    return [
+        {
+            "threads": nt,
+            "policy": pol,
+            "ipc": {columns[0]: base + d, columns[1]: base * 1.5 - d},
+        }
+        for nt, base in ((4, 3.125), (2, 2.0))
+        for pol, d in (("CSMT", 0.0), ("OOSI AS", 0.456))
+    ]
+
+
+def test_render_fig_mem_golden():
+    from repro.harness.figures import render_fig_mem
+
+    assert render_fig_mem(_grid_rows(["paper", "l2+pf+mshr"])) == (
+        "Fig. mem: average IPC per policy x memory preset\n"
+        "--- 2-Thread ---\n"
+        "  policy          paper  l2+pf+mshr\n"
+        "  CSMT             2.00        3.00\n"
+        "  OOSI AS          2.46        2.54\n"
+        "--- 4-Thread ---\n"
+        "  policy          paper  l2+pf+mshr\n"
+        "  CSMT             3.12        4.69\n"
+        "  OOSI AS          3.58        4.23"
+    )
+    assert render_fig_mem([]) == (
+        "Fig. mem: average IPC per policy x memory preset"
+    )
+
+
+def test_render_fig_machine_golden():
+    from repro.harness.figures import render_fig_machine
+
+    assert render_fig_machine(_grid_rows(["paper", "fast-switch"])) == (
+        "Fig. machine: average IPC per policy x machine scenario\n"
+        "--- 2-Thread ---\n"
+        "  policy          paper fast-switch\n"
+        "  CSMT             2.00        3.00\n"
+        "  OOSI AS          2.46        2.54\n"
+        "--- 4-Thread ---\n"
+        "  policy          paper fast-switch\n"
+        "  CSMT             3.12        4.69\n"
+        "  OOSI AS          3.58        4.23"
+    )
+    assert render_fig_machine([]) == (
+        "Fig. machine: average IPC per policy x machine scenario"
+    )

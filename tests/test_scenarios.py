@@ -288,15 +288,13 @@ def test_trace_memo_shared_across_memory_presets():
 
 # -------------------------------------------------------------- harness
 def test_machine_report_and_scenarios_render(session):
-    from repro.harness.experiment import ExperimentRunner
     from repro.harness.machreport import (
         machine_sensitivity,
         render_machine_report,
         render_scenarios,
     )
 
-    r = ExperimentRunner(session=session)
-    rows = machine_sensitivity(r, "SMT", "llll", 2,
+    rows = machine_sensitivity(session, "SMT", "llll", 2,
                                ["paper", "narrow"])
     text = render_machine_report(rows, "SMT", "llll", 2)
     assert "Machine sensitivity" in text
@@ -308,11 +306,9 @@ def test_machine_report_and_scenarios_render(session):
 
 
 def test_fig_machine_rows(session):
-    from repro.harness.experiment import ExperimentRunner
     from repro.harness.figures import fig_machine, render_fig_machine
 
-    r = ExperimentRunner(session=session)
-    rows = fig_machine(runner=r, machines=["paper", "narrow"],
+    rows = fig_machine(session, machines=["paper", "narrow"],
                        n_threads=(2,))
     assert len(rows) == 8  # every policy
     assert set(rows[0]["ipc"]) == {"paper", "narrow"}

@@ -21,7 +21,7 @@ from repro.arch.config import get_memory_config
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.compiler.pipeline import compile_kernel
 from repro.core.policies import ALL_POLICIES, BY_NAME
-from repro.engine import CycleRecorder, QUICK_SCALE, SimulationSession
+from repro.engine import CycleRecorder
 from repro.pipeline import specialize
 from repro.pipeline.processor import Processor, SimParams
 from repro.pipeline.trace import record_trace
@@ -147,28 +147,6 @@ def test_memo_hit_miss_by_fingerprint(fresh_cache):
     assert info["failures"] == 0
 
 
-def test_adopted_source_skips_generation(fresh_cache, monkeypatch):
-    """A worker that received ``(key, source)`` compiles the shipped
-    text without re-deriving it — generation must not run at all."""
-    traces = traces_for("paper")
-    cfg = MACHINE_PRESETS["paper"].machine
-    params = SimParams(target_instructions=500, timeslice=200, seed=1)
-    key, src = specialize.source_for(
-        BY_NAME["CCSI AS"], cfg, params, 2, len(traces)
-    )
-
-    specialize.clear_cache()
-    specialize.adopt_source(list(key), src)  # keys arrive as lists too
-
-    def boom(*a, **k):  # pragma: no cover - must never run
-        raise AssertionError("generation ran despite adopted source")
-
-    monkeypatch.setattr(specialize, "generate_loop_source", boom)
-    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-    proc.run()
-    assert proc.loop_used == "specialized"
-
-
 # -------------------------------------------------------- tier dispatch
 def test_hooks_and_force_reference_take_reference_loop():
     traces = traces_for("paper")
@@ -220,26 +198,3 @@ def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
     strict_proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
     with pytest.raises(LoopVerificationError):
         strict_proc.run()
-
-
-# ------------------------------------------------------ engine plumbing
-def test_session_prewarm_payload_roundtrip(fresh_cache):
-    """``prewarm_specialization`` returns the picklable payload the
-    pool runner ships; adopting it on a cold cache reproduces the
-    session's own results."""
-    session = SimulationSession(QUICK_SCALE)
-    payload = session.prewarm_specialization("CCSI AS", ("mcf",), 2)
-    assert payload is not None
-    key, src = payload
-    assert isinstance(src, str) and specialize.LOOP_NAME in src
-
-    stats = session.run("CCSI AS", ("mcf",), 2)
-    specialize.clear_cache()
-    specialize.adopt_source(key, src)
-    fresh = SimulationSession(QUICK_SCALE)
-    assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
-
-    # a reference session never specialises and ships no payload
-    assert SimulationSession(
-        QUICK_SCALE, reference=True
-    ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
