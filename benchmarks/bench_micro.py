@@ -63,14 +63,34 @@ def test_merge_engine_cycle(benchmark):
     assert benchmark(run) > 0
 
 
-def test_vm_interpretation_rate(benchmark):
+def _vm_bench_program():
     from repro.kernels.suite import build_program
 
-    program = build_program("gsmencode", 0.02).program
+    return build_program("gsmencode", 0.02).program
+
+
+def test_vm_interpretation_rate(benchmark):
+    """``VM.run``: the block translation (built in the first round, as
+    a trace build translates each kernel once) executing the kernel."""
+    vm = VM(_vm_bench_program())
 
     def run():
-        vm = VM(program)
+        vm.reset()
         vm.run()
+        return vm.instr_count
+
+    n = benchmark(run)
+    benchmark.extra_info["instructions"] = n
+
+
+def test_vm_step_rate(benchmark):
+    """The per-instruction oracle ``VM.step`` on the same kernel."""
+    vm = VM(_vm_bench_program())
+
+    def run():
+        vm.reset()
+        while vm.step():
+            pass
         return vm.instr_count
 
     n = benchmark(run)

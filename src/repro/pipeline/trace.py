@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from ..isa.program import Program
 from ..vm.machine import VM, TraceRecorder
 
 #: Version of the program -> trace derivation: the functional VM's
-#: semantics, the :class:`TraceRecorder` format, and the static-table
+#: semantics (its opcode table, :meth:`VM.step` and the block translator
+#: :mod:`repro.vm.translate` that :meth:`VM.run` executes), the
+#: :class:`TraceRecorder` format, and the static-table
 #: derivation (:func:`build_static_table`, instruction sizes/pcs).  The
 #: engine's result store keys cells on program fingerprints plus this
 #: constant, never on the recorded trace, so **bump it whenever any of
@@ -163,50 +166,50 @@ class TraceBundle:
         name: str,
         program: Program,
         cfg: MachineConfig,
-        idx: np.ndarray,
-        taken: np.ndarray,
-        addrs: np.ndarray,
+        idx: list[int],
+        taken: list[bool],
+        addr_rows: list[tuple[int, ...]],
     ):
         self.name = name
         self.program = program
         self.cfg = cfg
         self.static = build_static_table(program, cfg)
-        # hot-loop friendly copies
-        self.idx = idx.tolist()
-        self.taken = taken.tolist()
-        self.addr_rows = [tuple(row) for row in addrs.tolist()]
+        # hot-loop friendly lists, in the form the VM records them
+        self.idx = idx
+        self.taken = taken
+        self.addr_rows = addr_rows
         self.length = len(self.idx)
-        self.total_ops = sum(self.static.nops[i] for i in self.idx)
+        self.total_ops = sum(map(self.static.nops.__getitem__, self.idx))
         self._rot_cache: dict[int, tuple[StaticTable, list]] = {
             0: (self.static, self.addr_rows)
         }
-        self._addrs_np = addrs
-        # computed eagerly while the numpy arrays are in hand, so the
-        # bundle does not retain a second copy of idx/taken for a lazy
-        # hash (bundles live for the process in the suite memo)
-        self._fingerprint = self._compute_fingerprint(idx, taken, addrs)
+        self._fingerprint = self._compute_fingerprint()
 
     def rotated(self, r: int) -> tuple[StaticTable, list]:
         """Static table and address rows under cluster renaming ``r``."""
         r %= self.cfg.n_clusters
         if r not in self._rot_cache:
             st = _rot_static(self.static, r)
-            rolled = np.roll(self._addrs_np, r, axis=1)
-            self._rot_cache[r] = (st, [tuple(x) for x in rolled.tolist()])
+            rows = [row[-r:] + row[:-r] for row in self.addr_rows]
+            self._rot_cache[r] = (st, rows)
         return self._rot_cache[r]
 
     @property
     def avg_ops_per_instr(self) -> float:
         return self.total_ops / max(1, self.length)
 
-    def _compute_fingerprint(
-        self, idx: np.ndarray, taken: np.ndarray, addrs: np.ndarray
-    ) -> str:
+    def _compute_fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.name.encode())
-        h.update(np.ascontiguousarray(idx, np.int64).tobytes())
-        h.update(np.ascontiguousarray(taken, np.int8).tobytes())
-        h.update(np.ascontiguousarray(addrs, np.int64).tobytes())
+        n = self.length
+        h.update(np.fromiter(self.idx, np.int64, n).tobytes())
+        h.update(np.fromiter(self.taken, np.int8, n).tobytes())
+        h.update(
+            np.fromiter(
+                chain.from_iterable(self.addr_rows), np.int64,
+                n * self.cfg.n_clusters,
+            ).tobytes()
+        )
         st = self.static
         # ops_desc is order-sensitive: op-level split issues ops in
         # this order under resource pressure, so a reorder changes
@@ -248,5 +251,6 @@ def record_trace(
     vm = VM(program)
     rec = TraceRecorder(cfg.n_clusters)
     vm.run(max_instructions=max_instructions, recorder=rec)
-    idx, taken, addrs = rec.arrays()
-    return TraceBundle(program.name, program, cfg, idx, taken, addrs)
+    return TraceBundle(
+        program.name, program, cfg, rec.indices, rec.taken, rec.addrs
+    )

@@ -70,9 +70,10 @@ def program_spec(draw):
     return inits, ops, n_loop
 
 
-@given(program_spec())
-@settings(max_examples=50, deadline=None)
-def test_compiled_equals_reference(spec):
+def fuzz_kernel(spec) -> tuple[KernelBuilder, list[int], int, list[str]]:
+    """The kernel of a :func:`program_spec` draw: its builder, the
+    sequential reference's expected output words, the output array's
+    address, and a label per word."""
     inits, op_list, n_loop = spec
     fn_map = dict(BINOPS)
 
@@ -110,17 +111,22 @@ def test_compiled_equals_reference(spec):
         b.stw(v, outv, 4 * k, region="out")
     b.stw(acc, outv, 4 * len(values), region="out")
 
+    labels = [
+        f"value {k} ({op_list[max(0, k - len(inits))]})"
+        for k in range(len(values))
+    ] + ["accumulator"]
+    return b, [ref.get(v) for v in values] + [acc_ref], out, labels
+
+
+@given(program_spec())
+@settings(max_examples=50, deadline=None)
+def test_compiled_equals_reference(spec):
+    b, expected, out, labels = fuzz_kernel(spec)
     program = compile_kernel(b).program
     vm = VM(program)
     vm.run(max_instructions=100_000)
 
-    for k, v in enumerate(values):
+    for k, want in enumerate(expected):
         got = int.from_bytes(vm.mem[out + 4 * k: out + 4 * k + 4],
                              "little")
-        assert got == ref.get(v), (
-            f"value {k} ({op_list[max(0, k - len(inits))]}) mismatch"
-        )
-    got_acc = int.from_bytes(
-        vm.mem[out + 4 * len(values): out + 4 * len(values) + 4], "little"
-    )
-    assert got_acc == acc_ref
+        assert got == want, f"{labels[k]} mismatch"

@@ -224,6 +224,68 @@ def test_out_of_range_load_raises():
         vm.run()
 
 
+SEGMENT = 64
+#: the last word of the segment holds bytes 83 82 81 80
+LAST_WORD = 0x80818283
+
+
+@pytest.mark.parametrize(
+    "opc,width,expected",
+    [
+        (Opcode.LDW, 4, LAST_WORD),
+        (Opcode.LDH, 2, 0xFFFF8081),
+        (Opcode.LDHU, 2, 0x8081),
+        (Opcode.LDB, 1, 0xFFFFFF80),
+        (Opcode.LDBU, 1, 0x80),
+    ],
+)
+def test_load_at_segment_end(opc, width, expected):
+    """An access checks its own width: the last 1-3 bytes of the data
+    segment are loadable by the narrow loads, in both VM paths."""
+    data = DataSegment(size=SEGMENT)
+    data.set_word(SEGMENT - 4, LAST_WORD)
+    for addr, ok in ((SEGMENT - width, True), (SEGMENT - width + 1, False)):
+        p = prog([
+            VLIWInstruction([movi(0, 1, addr)]),
+            VLIWInstruction([Operation(opc, cluster=0, dst=2, srcs=(1,))]),
+            halt(),
+        ], data)
+        for run in (VM.run, _step_all):
+            vm = VM(p)
+            if ok:
+                run(vm)
+                assert vm.regs[0][2] == expected
+            else:
+                with pytest.raises(VMError, match="load out of range"):
+                    run(vm)
+
+
+@pytest.mark.parametrize(
+    "opc,width", [(Opcode.STW, 4), (Opcode.STH, 2), (Opcode.STB, 1)]
+)
+def test_store_at_segment_end(opc, width):
+    value = 0x123456AB
+    for addr, ok in ((SEGMENT - width, True), (SEGMENT - width + 1, False)):
+        p = prog([
+            VLIWInstruction([movi(0, 1, addr), movi(0, 2, value)]),
+            VLIWInstruction([Operation(opc, cluster=0, srcs=(2, 1))]),
+            halt(),
+        ], DataSegment(size=SEGMENT))
+        for run in (VM.run, _step_all):
+            vm = VM(p)
+            if ok:
+                run(vm)
+                assert vm.mem[addr:] == value.to_bytes(4, "little")[:width]
+            else:
+                with pytest.raises(VMError, match="store out of range"):
+                    run(vm)
+
+
+def _step_all(vm):
+    while vm.step():
+        pass
+
+
 def test_runaway_guard():
     p = prog([
         VLIWInstruction([Operation(Opcode.GOTO, cluster=0, target=0)]),
@@ -249,7 +311,7 @@ def test_trace_recorder_shapes(axpy_program):
     vm = VM(axpy_program)
     rec = TraceRecorder(4)
     n = vm.run(recorder=rec)
-    idx, taken, addrs = rec.arrays()
-    assert len(idx) == len(taken) == len(addrs) == n
-    assert addrs.shape[1] == 4
-    assert idx.max() < len(axpy_program)
+    assert len(rec.indices) == len(rec.taken) == len(rec.addrs) == n
+    assert {len(row) for row in rec.addrs} == {4}
+    assert all(isinstance(row, tuple) for row in rec.addrs)
+    assert max(rec.indices) < len(axpy_program)
