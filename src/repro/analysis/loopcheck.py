@@ -18,8 +18,9 @@ properties of that source **before** it ever executes:
   is itself suspect).
 * **literal/spec consistency** — every constant the generator inlines
   (packed issue capacity, SWAR guard mask, cluster bit masks,
-  icache-line shift, miss/branch penalties, timeslice, instruction
-  target, cycle limit, priority rotations) is re-derived here
+  icache-line shift, the inline L1 probes' set masks and dcache-line
+  shift, miss/branch penalties, timeslice, instruction target, cycle
+  limit, priority rotations) is re-derived here
   *independently from the resolved spec* — ``capacity_packed`` /
   ``guards_mask`` / ``make_priority`` / the ``MachineConfig`` fields —
   and matched against the AST.  A generator bug that bakes in a stale
@@ -82,7 +83,10 @@ def _find(
 
 
 # ------------------------------------------------------------ free names
-def _bound_names(fn: ast.FunctionDef) -> set[str]:
+# Every check below reads the function's nodes from one ``ast.walk``
+# list: the walk, not the checks, dominates verification time, and the
+# generated loops run to several hundred lines.
+def _bound_names(fn: ast.FunctionDef, nodes: list[ast.AST]) -> set[str]:
     """Every name the function binds: parameters plus all Store/Del
     contexts (assignments, loop targets, walrus, comprehensions,
     ``with``/``except`` aliases, nested defs/imports).
@@ -99,7 +103,7 @@ def _bound_names(fn: ast.FunctionDef) -> set[str]:
         bound.add(fn.args.kwarg.arg)
     stores: Counter[str] = Counter()
     augs: Counter[str] = Counter()
-    for node in ast.walk(fn):
+    for node in nodes:
         if isinstance(node, ast.Name) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):
@@ -122,13 +126,15 @@ def _bound_names(fn: ast.FunctionDef) -> set[str]:
     return bound
 
 
-def _free_loads(fn: ast.FunctionDef) -> dict[str, int]:
+def _free_loads(
+    fn: ast.FunctionDef, nodes: list[ast.AST]
+) -> dict[str, int]:
     """Free (unbound) name reads of the function: ``name -> line``.
     An ``AugAssign`` target counts as a read — ``x += 1`` loads ``x``
     even though the AST gives the target Store context."""
-    bound = _bound_names(fn)
+    bound = _bound_names(fn, nodes)
     free: dict[str, int] = {}
-    for node in ast.walk(fn):
+    for node in nodes:
         if (
             isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)
@@ -153,9 +159,13 @@ class _Expected:
     split: str
     multi: bool
     flat: bool
+    perfect: bool
     guards: int
     capacity: int
     iline_shift: int
+    dline_shift: int
+    iset_mask: int
+    dset_mask: int
     taken_penalty: int
     icache_miss_penalty: int
     dcache_miss_penalty: int
@@ -182,9 +192,15 @@ def _expected(
         split=policy.split,
         multi=n_benches > 1 and params.timeslice > 0,
         flat=perfect or cfg.memory.is_flat,
+        perfect=perfect,
         guards=guards_mask(cfg.n_clusters),
         capacity=capacity_packed(cfg),
         iline_shift=cfg.icache.line_bytes.bit_length() - 1,
+        dline_shift=cfg.dcache.line_bytes.bit_length() - 1,
+        iset_mask=cfg.icache.size_bytes
+        // (cfg.icache.assoc * cfg.icache.line_bytes) - 1,
+        dset_mask=cfg.dcache.size_bytes
+        // (cfg.dcache.assoc * cfg.dcache.line_bytes) - 1,
         taken_penalty=cfg.taken_branch_penalty,
         icache_miss_penalty=cfg.icache.miss_penalty,
         dcache_miss_penalty=cfg.dcache.miss_penalty,
@@ -202,7 +218,7 @@ def _int_const(node: ast.expr) -> int | None:
     return None
 
 
-class _LiteralCollector(ast.NodeVisitor):
+class _LiteralCollector:
     """Harvest every spec-bearing literal site from the loop body."""
 
     def __init__(self) -> None:
@@ -210,6 +226,20 @@ class _LiteralCollector(ast.NodeVisitor):
         self.seen: list[tuple[str, int, int]] = []
         #: full priority tuples: Assign to thread_order / order_tabs
         self.order_tuples: list[tuple[tuple[int, ...], ...]] = []
+        self._visit = {
+            ast.Assign: self.visit_Assign,
+            ast.AugAssign: self.visit_AugAssign,
+            ast.BinOp: self.visit_BinOp,
+            ast.Compare: self.visit_Compare,
+            ast.Call: self.visit_Call,
+        }
+
+    def collect(self, nodes: list[ast.AST]) -> None:
+        visit = self._visit
+        for node in nodes:
+            method = visit.get(type(node))
+            if method is not None:
+                method(node)
 
     def _note(self, kind: str, value: int | None, line: int) -> None:
         if value is not None:
@@ -287,7 +317,6 @@ class _LiteralCollector(ast.NodeVisitor):
                     self._note(
                         "fetch_const", _int_const(arm), node.lineno
                     )
-        self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if (
@@ -298,7 +327,6 @@ class _LiteralCollector(ast.NodeVisitor):
             self._note(
                 "dcache_penalty", _int_const(node.value), node.lineno
             )
-        self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
         left_name = (
@@ -306,6 +334,12 @@ class _LiteralCollector(ast.NodeVisitor):
         )
         if isinstance(node.op, ast.RShift) and left_name == "pc":
             self._note("iline_shift", _int_const(node.right), node.lineno)
+        elif isinstance(node.op, ast.RShift) and left_name == "addr":
+            self._note("dline_shift", _int_const(node.right), node.lineno)
+        elif isinstance(node.op, ast.BitAnd) and left_name == "line":
+            self._note("iset_mask", _int_const(node.right), node.lineno)
+        elif isinstance(node.op, ast.BitAnd) and left_name == "dline":
+            self._note("dset_mask", _int_const(node.right), node.lineno)
         elif isinstance(node.op, ast.BitOr) and left_name == "e_remaining":
             self._note("guards", _int_const(node.right), node.lineno)
         elif isinstance(node.op, ast.BitXor) and left_name == "left":
@@ -324,7 +358,6 @@ class _LiteralCollector(ast.NodeVisitor):
                 else "order_sel_mod"
             )
             self._note(kind, _int_const(node.right), node.lineno)
-        self.generic_visit(node)
 
     def visit_Compare(self, node: ast.Compare) -> None:
         # bstats.instructions >= <target>
@@ -353,7 +386,6 @@ class _LiteralCollector(ast.NodeVisitor):
                     _int_const(node.comparators[0]),
                     node.lineno,
                 )
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         # fast_forward(cycle, end_cycle, sw, ns, <multi>, <timeslice>)
@@ -370,14 +402,13 @@ class _LiteralCollector(ast.NodeVisitor):
             self._note("ff_timeslice", _int_const(node.args[5]), node.lineno)
         # icache-miss path: th.fetch_at = cycle + <penalty> is caught by
         # visit_Assign ("fetch_const"); nothing extra here.
-        self.generic_visit(node)
 
 
 def _check_literals(
-    fn: ast.FunctionDef, exp: _Expected, label: str
+    nodes: list[ast.AST], exp: _Expected, label: str
 ) -> list[Finding]:
     col = _LiteralCollector()
-    col.visit(fn)
+    col.collect(nodes)
     findings: list[Finding] = []
 
     def mismatch(kind: str, want: object, got: object, line: int) -> None:
@@ -395,6 +426,9 @@ def _check_literals(
         "max_cycles": exp.max_cycles,
         "target": exp.target,
         "iline_shift": exp.iline_shift,
+        "dline_shift": exp.dline_shift,
+        "iset_mask": exp.iset_mask,
+        "dset_mask": exp.dset_mask,
         "guards": exp.guards,
         "capacity": exp.capacity,
         "timeslice": exp.timeslice,
@@ -434,6 +468,9 @@ def _check_literals(
         required += ["guards", "capacity"]
     if exp.multi:
         required.append("timeslice")
+    if not exp.perfect:
+        # the inline L1 tag probes
+        required += ["iset_mask", "dline_shift", "dset_mask"]
     for kind in required:
         if not counts.get(kind):
             findings.append(
@@ -501,9 +538,9 @@ def _has_own_level_exit(loop: ast.While) -> bool:
     return False
 
 
-def _check_loops(fn: ast.FunctionDef, label: str) -> list[Finding]:
+def _check_loops(nodes: list[ast.AST], label: str) -> list[Finding]:
     findings = []
-    for node in ast.walk(fn):
+    for node in nodes:
         if isinstance(node, ast.While):
             test = node.test
             if isinstance(test, ast.Constant) and test.value:
@@ -580,7 +617,8 @@ def check_source(
             )
         )
 
-    for name, line in sorted(_free_loads(fn).items()):
+    nodes = list(ast.walk(fn))
+    for name, line in sorted(_free_loads(fn, nodes).items()):
         if name not in APPROVED_BUILTINS:
             findings.append(
                 _find(
@@ -593,9 +631,9 @@ def check_source(
                 )
             )
 
-    findings.extend(_check_loops(fn, label))
+    findings.extend(_check_loops(nodes, label))
     exp = _expected(policy, cfg, params, n_threads, n_benches)
-    findings.extend(_check_literals(fn, exp, label))
+    findings.extend(_check_literals(nodes, exp, label))
     return findings
 
 

@@ -51,8 +51,10 @@ class Cache:
         if self.n_sets & self.set_mask:
             raise ValueError("set count must be a power of two")
         self.assoc = cfg.assoc
-        # each set: insertion-ordered {line: dirty}, MRU last
-        self.sets: list[dict[int, bool]] = [{} for _ in range(self.n_sets)]
+        # each set: insertion-ordered {line: dirty}, MRU last.  The
+        # dirty flag is read only for truthiness: callers may store any
+        # int (the specialised run loop stores the raw store-mask bit)
+        self.sets: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0

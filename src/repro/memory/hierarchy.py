@@ -312,27 +312,72 @@ class MemorySystem:
             self.dram.write(victim_addr, cycle)
         return penalty
 
+    # A tag hit on a line that is neither in an MSHR file nor tracked as
+    # prefetched has no side effect beyond the L1's LRU order and its
+    # ``hits`` counter.  Only *watched* lines (``_i_inflight``,
+    # ``_d_inflight``, ``_prefetched``) carry hit-side bookkeeping, which
+    # lives in the two ``*_hit_watched`` methods below: ``iaccess`` /
+    # ``daccess`` call them after their own tag hit, and the specialised
+    # run loop (which probes L1 tags inline) calls them after its hit.
+    def i_hit_watched(self, line: int, cycle: int) -> int | None:
+        """Hit-side bookkeeping of an L1I tag hit on a line in
+        ``_i_inflight``: ``None``, or the residual stall cycles when the
+        line's fill is still in flight."""
+        inflight = self._i_inflight
+        ready = inflight[line]
+        if ready > cycle:
+            # secondary miss: the line's fill is still in flight, so
+            # the tag "hit" really waits on the MSHR — recount it as a
+            # miss and charge only the residual latency
+            l1i = self.l1i
+            l1i.hits -= 1
+            l1i.misses += 1
+            self.mshr_merges += 1
+            return ready - cycle
+        del inflight[line]
+        return None
+
+    def d_hit_watched(self, line: int, cycle: int) -> int | None:
+        """Hit-side bookkeeping of an L1D tag hit on a line in
+        ``_prefetched`` or ``_d_inflight``: ``None``, or the residual
+        stall cycles when the line's fill is still in flight."""
+        pre = self._prefetched
+        inflight = self._d_inflight
+        if line in pre:
+            # a prefetch installed this line: credit it.  A timeless
+            # prefetch (no MSHRs) delivered the data outright; a priced
+            # one may still be in flight — the demand that catches it
+            # pays the residual (a *late* prefetch) and retires the MSHR.
+            pre.discard(line)
+            self.prefetch_useful += 1
+            ready = inflight.pop(line, None)
+            if ready is None or ready <= cycle:
+                return None
+            self.prefetch_late += 1
+        else:
+            ready = inflight[line]
+            if ready <= cycle:
+                del inflight[line]
+                return None
+            # secondary miss: merge into the in-flight MSHR
+            self.mshr_merges += 1
+        # the access stalls on the fill, so recount the tag hit as a
+        # miss: the L1 counters must agree with the pipeline's
+        # dcache_misses
+        l1d = self.l1d
+        l1d.hits -= 1
+        l1d.misses += 1
+        return ready - cycle
+
     def iaccess(self, addr: int, cycle: int) -> int | None:
         """Instruction fetch: ``None`` on an L1I hit, else the extra
         stall cycles the fetch must wait."""
-        l1i = self.l1i
         mshr = self._mshr
-        if l1i.access(addr):
+        if self.l1i.access(addr):
             if mshr:
                 line = addr >> self._i_line_shift
-                inflight = self._i_inflight
-                ready = inflight.get(line)
-                if ready is not None:
-                    if ready > cycle:
-                        # secondary miss: the line's fill is still in
-                        # flight, so the tag "hit" really waits on the
-                        # MSHR — recount it as a miss and charge only
-                        # the residual latency
-                        l1i.hits -= 1
-                        l1i.misses += 1
-                        self.mshr_merges += 1
-                        return ready - cycle
-                    del inflight[line]
+                if line in self._i_inflight:
+                    return self.i_hit_watched(line, cycle)
             return None
         lat = 0
         if mshr:
@@ -358,39 +403,8 @@ class MemorySystem:
             pre = self._prefetched
             if mshr or pre:
                 line = addr >> self._d_line_shift
-                if pre and line in pre:
-                    # a prefetch installed this line: credit it.  A
-                    # timeless prefetch (no MSHRs) delivered the data
-                    # outright; a priced one may still be in flight —
-                    # the demand that catches it pays the residual
-                    # (a *late* prefetch) and retires the MSHR.
-                    pre.discard(line)
-                    self.prefetch_useful += 1
-                    if mshr:
-                        ready = self._d_inflight.pop(line, None)
-                        if ready is not None and ready > cycle:
-                            # recount the tag hit as a miss, exactly
-                            # like the demand secondary-miss path: the
-                            # access stalls, and the L1 counters must
-                            # agree with the pipeline's dcache_misses
-                            l1d.hits -= 1
-                            l1d.misses += 1
-                            self.prefetch_late += 1
-                            return ready - cycle
-                    return None
-                if mshr:
-                    inflight = self._d_inflight
-                    ready = inflight.get(line)
-                    if ready is not None:
-                        if ready > cycle:
-                            # secondary miss on an in-flight line:
-                            # recount the tag hit as a miss and charge
-                            # the residual
-                            l1d.hits -= 1
-                            l1d.misses += 1
-                            self.mshr_merges += 1
-                            return ready - cycle
-                        del inflight[line]
+                if line in pre or line in self._d_inflight:
+                    return self.d_hit_watched(line, cycle)
             return None
         # primary L1D miss; the access above may have evicted a dirty
         # victim, which owes its writeback whether or not the miss

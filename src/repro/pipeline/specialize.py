@@ -15,9 +15,18 @@ packed capacities, the instruction target).  This module generates the
   literals;
 * structurally-dead branches are deleted at generation time — a
   single-benchmark run carries no scheduler block, a flat-memory run
-  calls ``l1.access`` directly instead of the hierarchy walker, an AS
-  policy carries no ICC-atomicity branch, a no-split policy carries no
+  never reaches the hierarchy walker, an AS policy carries no
+  ICC-atomicity branch, a no-split policy carries no
   buffered-store/commit machinery at all;
+* L1 tag hits are probed inline (set index, ``dict.pop``, MRU
+  reinsert, a local hit counter flushed into ``l1i.hits``/``l1d.hits``
+  at exit); the loop calls into the memory model only on a miss
+  (``Cache.access`` on flat memory, ``MemorySystem.iaccess``/``daccess``
+  otherwise) or on a hit to a line an MSHR file or the prefetcher is
+  watching (``MemorySystem.i_hit_watched``/``d_hit_watched``);
+* under CCSI and OOSI an instruction's first offer that fits whole
+  issues and retires through the no-split fragments, never building
+  the pending-list state below;
 * the per-thread priority rotation is precomputed into tuples of
   *thread objects*, so the inner loop never indexes ``threads[t]``;
 * the :class:`~repro.core.splitstate.PendingInstruction` state machine
@@ -262,55 +271,119 @@ def generate_loop_source(
     retire_full = "bstats = bench.stats\n" + retire_tail
     commit_retire = "th.pend = None\n" + retire_tail
 
-    if flat:
-        ifetch = f"""
+    # ---- L1 probes ------------------------------------------------------
+    # Every real (non-perfect) L1 tag probe is inlined: set index,
+    # ``dict.pop`` and MRU reinsert, exactly :meth:`Cache.access`'s hit
+    # path, with the hit counted in a local flushed into ``l1i.hits`` /
+    # ``l1d.hits`` at exit.  A miss leaves the set untouched, so the
+    # memory model is entered only then (it re-probes and fills), or on
+    # a hit to a *watched* line — one in an MSHR file or tracked as
+    # prefetched — whose hit-side bookkeeping ``MemorySystem`` keeps in
+    # ``i_hit_watched``/``d_hit_watched``.  An unwatched hit has no
+    # other side effect (``docs/memory.md``).
+    inline = not perfect
+    prefetching = inline and cfg.memory.prefetch != "none"
+    d_watch = []
+    if prefetching:
+        d_watch.append("dline in d_prefetched")
+    if nonblocking:
+        d_watch.append("dline in d_inflight")
+    if perfect:
+        ifetch = _dd(f"""
             if not l1i_access(pc):
                 icache_misses += 1
                 th.fetch_at = cycle + {cfg.icache.miss_penalty}
                 continue
-        """
+        """)
     else:
-        ifetch = """
-            lat = iaccess(pc, cycle)
-            if lat is not None:
+        if flat:
+            imiss = f"""
+                l1i_access(pc)
                 icache_misses += 1
-                th.fetch_at = cycle + lat
+                th.fetch_at = cycle + {cfg.icache.miss_penalty}
                 continue
-        """
+            """
+        else:
+            imiss = """
+                icache_misses += 1
+                th.fetch_at = cycle + iaccess(pc, cycle)
+                continue
+            """
+        ifetch = _dd(f"""
+            ways = l1i_sets[line & {cfg.icache.n_sets - 1}]
+            dirty = ways.pop(line, None)
+            if dirty is None:
+{_block(imiss, 16)}
+            ways[line] = dirty
+            l1i_hits += 1
+        """)
+        if nonblocking:
+            ifetch += "\n" + _dd("""
+                if line in i_inflight:
+                    lat = i_hit_watched(line, cycle)
+                    if lat is not None:
+                        icache_misses += 1
+                        th.fetch_at = cycle + lat
+                        continue
+            """)
 
     # The data probe is unrolled over clusters: each cluster gets a
     # literal mask test, so the generic bit-scan loop (shift + counter
     # per cluster) disappears.  ``Cache.access`` only ever uses
     # ``is_write`` for truthiness, so the flat path passes the raw mask
-    # bit and skips the ``bool()`` call.
+    # bit and skips the ``bool()`` call, and the inline hit stores it
+    # as the dirty flag.
+    d_shift = cfg.dcache.line_bytes.bit_length() - 1
+    d_set_mask = cfg.dcache.n_sets - 1
+    # MSHRs: misses all issue at ``cycle`` and overlap, and the thread
+    # stalls for the slowest; blocking caches serialise — each later
+    # miss starts after the accumulated penalty
+    d_cycle = "cycle" if nonblocking else "cycle + penalty"
+    d_charge = (
+        "if lat > penalty:\n    penalty = lat"
+        if nonblocking
+        else "penalty += lat"
+    )
     probe_blocks = []
     for c in range(cfg.n_clusters):
         bit = 1 << c
-        if flat:
-            miss = f"""
+        if perfect:
+            miss = _dd(f"""
             if not l1d_access(addr, store_mask & {bit}):
                 dcache_misses += 1
                 penalty += {cfg.dcache.miss_penalty}
-            """
-        elif nonblocking:
-            # MSHRs: misses all issue at ``cycle`` and overlap; the
-            # thread stalls for the slowest
-            miss = f"""
-            lat = daccess(addr, bool(store_mask & {bit}), cycle)
-            if lat is not None:
-                dcache_misses += 1
-                if lat > penalty:
-                    penalty = lat
-            """
+            """)
         else:
-            # blocking caches: misses serialise — each later miss
-            # starts after the accumulated penalty
-            miss = f"""
-            lat = daccess(addr, bool(store_mask & {bit}), cycle + penalty)
-            if lat is not None:
+            if flat:
+                dmiss = f"""
+                l1d_access(addr, store_mask & {bit})
                 dcache_misses += 1
-                penalty += lat
-            """
+                penalty += {cfg.dcache.miss_penalty}
+                """
+            else:
+                dmiss = f"""
+                lat = daccess(addr, bool(store_mask & {bit}), {d_cycle})
+                dcache_misses += 1
+{_block(d_charge, 16)}
+                """
+            dhit = f"ways[dline] = dirty or store_mask & {bit}\nl1d_hits += 1"
+            if d_watch:
+                dhit += "\n" + _dd(f"""
+                if {" or ".join(d_watch)}:
+                    lat = d_hit_watched(dline, {d_cycle})
+                    if lat is not None:
+                        dcache_misses += 1
+{_block(d_charge, 24)}
+                """)
+            miss = _dd(f"""
+            dline = addr >> {d_shift}
+            ways = l1d_sets[dline & {d_set_mask}]
+            dirty = ways.pop(dline, None)
+            if dirty is None:
+{_block(dmiss, 16)}
+            else:
+{_block(dhit, 16)}
+            """)
         probe_blocks.append(
             _dd(f"""
             if mem & {bit}:
@@ -341,37 +414,52 @@ def generate_loop_source(
         else "if cycle < th.fetch_at:"
     )
 
+    # ---- whole-instruction fragments -----------------------------------
+    # Shared by the no-split variant and the split variants' fast path.
+    # ``whole_fit`` is (probe, conflict test, fit test, take) of merging
+    # a whole instruction: one SWAR subtract under op-level merging, one
+    # cluster-mask test under cluster-level merging.
+    if op_merge:
+        whole_fit = (
+            f"left = (e_remaining | {guards}) - table.packed[i]",
+            f"left & {guards} != {guards}",
+            f"left & {guards} == {guards}",
+            f"e_remaining = left ^ {guards}",
+        )
+    else:
+        whole_fit = (
+            "cm = table.cmask[i]",
+            "cm & e_used",
+            "not cm & e_used",
+            "e_used |= cm",
+        )
+
+    def merge_whole(fail: str) -> str:
+        """Whole-instruction merge; ``fail`` runs on a conflict."""
+        probe, conflict, _fits, take = whole_fit
+        return "\n".join(
+            [probe, f"if {conflict}:", _block(fail, 4), take]
+        )
+
+    def issue_retire(clear_pend: bool, mark_mem: bool = False) -> str:
+        """Issue all ``n`` ops of a merged instruction and retire it;
+        ``mark_mem`` also claims its memory ports in ``e_mem_used``
+        (split policies: a later thread's last-part store commit
+        collides with them)."""
+        clear = "th.pend = None\n" if clear_pend else ""
+        mark = "e_mem_used |= mem\n" if mark_mem else ""
+        return _dd(f"""
+        ops_this_cycle += n
+        threads_contributing += 1
+        bstats = bench.stats
+        bstats.operations += n
+        mem = table.mem_cmask[i]
+        if mem:
+{_block(mark + dprobe, 12)}
+        """) + "\n" + clear + retire_tail
+
     # ---- per-thread issue pass (three structural variants) ------------
     if split == "none":
-
-        def merge_whole(fail: str) -> str:
-            """Whole-instruction merge; ``fail`` runs on a conflict."""
-            if op_merge:
-                return _dd(f"""
-                left = (e_remaining | {guards}) - table.packed[i]
-                if left & {guards} != {guards}:
-{_block(fail, 20)}
-                e_remaining = left ^ {guards}
-                """)
-            return _dd(f"""
-            cm = table.cmask[i]
-            if cm & e_used:
-{_block(fail, 16)}
-            e_used |= cm
-            """)
-
-        def issue_retire(clear_pend: bool) -> str:
-            clear = "th.pend = None\n" if clear_pend else ""
-            return _dd(f"""
-            ops_this_cycle += n
-            threads_contributing += 1
-            bstats = bench.stats
-            bstats.operations += n
-            mem = table.mem_cmask[i]
-            if mem:
-{_block(dprobe, 16)}
-            """) + "\n" + clear + retire_tail
-
         park_pend = "th.pend = i\ncontinue"
 
         # No-split: an instruction merges whole or not at all, so it
@@ -528,6 +616,35 @@ def generate_loop_source(
 {_block(merge_part, 16)}
             """
 
+        # Whole-instruction fast path of a first offer (CCSI, OOSI): an
+        # instruction that fits whole issues and retires exactly as under
+        # no-split, from the no-split fragments, without building
+        # ``th.pend``.  A split policy's merge still owes two things: the
+        # ports it used go into ``e_mem_used``, and OOSI counts a
+        # non-atomic multi-op instruction as split even when every op
+        # issues this cycle (``PendingInstruction.note_op_issued``).
+        # COSI has none: its per-bundle merge reads ``bundle_packed``,
+        # which renaming does not lane-shift, so a whole-``packed`` test
+        # would not agree with it (ROADMAP).
+        fast_path = ""
+        if split == "op" or not op_merge:
+            probe, _conflict, fits, take = whole_fit
+            count_split = ""
+            if split == "op":
+                atomic = "" if comm_split else " and not table.icc[i]"
+                count_split = (
+                    f"if n > 1{atomic}:\n    split_instructions += 1\n"
+                )
+            fast_path = "\n".join([
+                probe,
+                f"if {fits}:",
+                _block(
+                    take + "\n" + count_split
+                    + issue_retire(False, mark_mem=True) + "\ncontinue",
+                    4,
+                ),
+            ])
+
         thread_body = f"""
         bench = th.bench
         if bench is None or cycle < th.stall_until:
@@ -548,6 +665,7 @@ def generate_loop_source(
             if not n:
 {_block(retire_full, 16)}
                 continue
+{_block(fast_path, 12)}
             {make_pend}
         else:
             i = pend[0]
@@ -602,6 +720,24 @@ def generate_loop_source(
         ]
     else:
         setup += ["iaccess = mem_sys.iaccess", "daccess = mem_sys.daccess"]
+    if inline:
+        setup += [
+            "l1i = mem_sys.l1i",
+            "l1d = mem_sys.l1d",
+            "l1i_sets = l1i.sets",
+            "l1d_sets = l1d.sets",
+        ]
+    if nonblocking:
+        setup += [
+            "i_inflight = mem_sys._i_inflight",
+            "i_hit_watched = mem_sys.i_hit_watched",
+        ]
+    if d_watch:
+        setup.append("d_hit_watched = mem_sys.d_hit_watched")
+        if prefetching:
+            setup.append("d_prefetched = mem_sys._prefetched")
+        if nonblocking:
+            setup.append("d_inflight = mem_sys._d_inflight")
     if split == "op":
         setup.append("op_usage = proc.engine._op_usage")
     if len(orders) == 1:
@@ -665,6 +801,8 @@ def generate_loop_source(
             "stats.stall_cycles += stall_cycles",
             "stats.split_instructions += split_instructions",
         ]
+    if inline:
+        flush += ["l1i.hits += l1i_hits", "l1d.hits += l1d_hits"]
     flush += [
         "proc._target_hit = target_hit",
         "stats.cycles = cycle",
@@ -692,6 +830,10 @@ def generate_loop_source(
         )
     )
 
+    hit_locals = (
+        "    l1i_hits = 0\n    l1d_hits = 0\n" if inline else ""
+    )
+
     header = (
         f"# generated by repro.pipeline.specialize for "
         f"{policy.merge}-merge/{split}-split"
@@ -712,7 +854,7 @@ def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
     icache_misses = 0
     dcache_accesses = 0
     dcache_misses = 0
-    limit = max_cycles if max_cycles is not None else {params.max_cycles}
+{hit_locals}    limit = max_cycles if max_cycles is not None else {params.max_cycles}
 {switch_init}    cycle = stats.cycles
     end_cycle = cycle + limit
     while cycle < end_cycle:

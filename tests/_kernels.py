@@ -4,6 +4,8 @@ conftest.py pytest loaded first and collided with ``benchmarks/``)."""
 
 from __future__ import annotations
 
+import functools
+
 from repro.compiler.builder import KernelBuilder
 
 
@@ -38,3 +40,26 @@ def make_wide(name: str = "wide", n: int = 16, unroll: int = 4) -> KernelBuilder
         t = b.add(t, accs[k])
     b.stw(t, b.addr(out), region="out")
     return b
+
+
+@functools.lru_cache(maxsize=None)
+def rotated_suite_tables() -> tuple:
+    """``(label, cfg, table)`` for every suite kernel × distinct
+    ``MACHINE_PRESETS`` machine × cluster-renaming rotation, compiled
+    at quick scale (static tables do not depend on the trace)."""
+    from repro.arch.scenarios import MACHINE_PRESETS
+    from repro.kernels.suite import SUITE, get_program
+    from repro.pipeline.trace import _rot_static, build_static_table
+
+    shapes: dict = {}
+    for name, spec in sorted(MACHINE_PRESETS.items()):
+        shapes.setdefault(spec.machine, name)
+    out = []
+    for cfg, machine in shapes.items():
+        for kernel in SUITE:
+            static = build_static_table(get_program(kernel, 0.3, cfg), cfg)
+            for r in range(cfg.n_clusters):
+                out.append(
+                    (f"{kernel}/{machine}/r{r}", cfg, _rot_static(static, r))
+                )
+    return tuple(out)

@@ -13,6 +13,7 @@ without changing results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,13 +21,14 @@ import pytest
 from repro.arch.config import get_memory_config
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.compiler.pipeline import compile_kernel
+from repro.core.merging import MergeEngine
 from repro.core.policies import ALL_POLICIES, BY_NAME
 from repro.engine import CycleRecorder
 from repro.pipeline import specialize
 from repro.pipeline.processor import Processor, SimParams
 from repro.pipeline.trace import record_trace
 
-from _kernels import make_axpy, make_wide
+from _kernels import make_axpy, make_wide, rotated_suite_tables
 
 MACHINES = ("paper", "narrow", "wide")
 MEMORIES = ("paper", "l2", "l2+mshr", "slow-dram")
@@ -198,3 +200,110 @@ def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
     strict_proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
     with pytest.raises(LoopVerificationError):
         strict_proc.run()
+
+
+# ------------------------------------------- whole-instruction fast path
+def test_fast_path_preconditions_hold_on_every_rotated_suite_table():
+    """The CCSI/OOSI fast path issues a first offer that fits whole from
+    the no-split fragments: ``nops`` ops and ``mem_cmask`` ports.  That
+    equals the split merge's per-part sums only if, on every rotated
+    table, CCSI's bundles add up to the instruction and OOSI's per-op
+    usages add up to ``packed``."""
+    usage = {}
+    checked = 0
+    for label, cfg, t in rotated_suite_tables():
+        if cfg not in usage:
+            usage[cfg] = MergeEngine(cfg, "op")._op_usage
+        op_usage = usage[cfg]
+        for i in range(len(t.nops)):
+            # CCSI: whole = every bundle of cmask, memory ports inside it
+            assert sum(t.bundle_nops[i]) == t.nops[i], (label, i)
+            assert t.mem_cmask[i] & ~t.cmask[i] == 0, (label, i)
+            # OOSI: whole = every op of ops_desc
+            packed = sum(op_usage[c][fu] for c, fu, _ in t.ops_desc[i])
+            assert packed == t.packed[i], (label, i)
+            mem = 0
+            for c, _fu, is_mem in t.ops_desc[i]:
+                if is_mem:
+                    mem |= 1 << c
+            assert mem == t.mem_cmask[i], (label, i)
+            checked += 1
+    assert checked > 10_000
+
+
+# ----------------------------------------------- mutation cases (codegen)
+#: String edits of the generated source, each dropping one piece of the
+#: inline L1 probe, and the memory preset that exercises it.
+MUTATIONS = {
+    # LRU order: a hit must move the line to the MRU end of its set
+    "drop-mru-reinsert": (
+        "paper",
+        lambda src: re.sub(r"^ *ways\[d?line\] = dirty.*\n", "", src,
+                           flags=re.M),
+    ),
+    # hits on in-flight / prefetched lines owe MSHR and prefetch
+    # bookkeeping (``i_hit_watched``/``d_hit_watched``)
+    "drop-watched-guard": (
+        "l2+pf+mshr",
+        lambda src: src.replace(
+            "if dline in d_prefetched or dline in d_inflight:", "if False:"
+        ).replace("if line in i_inflight:", "if False:"),
+    ),
+    # the loop counts hits in locals and must flush them to the caches
+    "drop-hit-flush": (
+        "l2",
+        lambda src: re.sub(r"^ *l1[id]\.hits \+= l1[id]_hits\n", "", src,
+                           flags=re.M),
+    ),
+}
+
+
+def run_source(src, policy, traces, nt, cfg, params):
+    """Run one cell on a loop compiled from ``src`` (no verification,
+    no memo: the caller owns the source)."""
+    ns: dict = {}
+    exec(compile(src, "<mutant>", "exec"), ns)
+    proc = Processor(policy, traces, nt, cfg, params)
+    proc._loop_fn = ns[specialize.LOOP_NAME]
+    stats = proc.run()
+    assert proc.loop_used == "specialized"
+    return stats
+
+
+def identity_failures(memory, edit):
+    """Cells of a small policy × nt identity matrix on ``memory`` whose
+    stats differ from the reference loop when the generated source is
+    passed through ``edit``."""
+    traces = traces_for("paper")
+    cfg = replace(
+        MACHINE_PRESETS["paper"].machine, memory=get_memory_config(memory)
+    )
+    params = SimParams(target_instructions=1_000, timeslice=400, seed=11)
+    failures = []
+    for name in ("SMT", "CCSI AS", "COSI NS", "OOSI AS"):
+        policy = BY_NAME[name]
+        for nt in (2, 4):
+            src = specialize.generate_loop_source(
+                policy, cfg, params, nt, len(traces)
+            )
+            mutant = edit(src)
+            assert mutant != src, (name, nt)
+            got = run_source(mutant, policy, traces, nt, cfg, params)
+            ref = Processor(
+                policy, traces, nt, cfg, params, force_reference=True
+            ).run()
+            if got.to_dict() != ref.to_dict():
+                failures.append((name, nt))
+    return failures
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_identity_matrix_catches_inline_probe_mutation(mutation):
+    memory, edit = MUTATIONS[mutation]
+    assert identity_failures(memory, edit), mutation
+
+
+@pytest.mark.parametrize("memory", ["paper", "l2", "l2+pf+mshr"])
+def test_unmutated_source_passes_mutation_harness(memory):
+    """Control: the same harness with an identity edit finds nothing."""
+    assert identity_failures(memory, lambda src: src + "\n") == []

@@ -2,12 +2,13 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.arch.config import PAPER_MACHINE
 from repro.arch.resources import unpack_usage
 from repro.pipeline.trace import build_static_table, record_trace
 
-from _kernels import make_axpy, make_wide
+from _kernels import make_axpy, make_wide, rotated_suite_tables
 from repro.compiler.pipeline import compile_kernel
 
 
@@ -111,3 +112,20 @@ def test_icc_flag_rotation_invariant(wide_trace):
     st0, _ = wide_trace.rotated(0)
     st3, _ = wide_trace.rotated(3)
     assert st0.icc == st3.icc
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known bug: _rot_static rolls bundle_packed across list "
+    "positions without shifting each value into its new SWAR lane, so "
+    "under renaming COSI charges a bundle on cluster c against lane "
+    "c - r (ROADMAP open item)",
+)
+def test_rotated_packed_equals_sum_of_bundle_packed():
+    bad = [
+        (label, i)
+        for label, _cfg, t in rotated_suite_tables()
+        for i in range(len(t.packed))
+        if t.packed[i] != sum(t.bundle_packed[i])
+    ]
+    assert not bad, f"{len(bad)} rotated entries, first {bad[:3]}"
