@@ -39,6 +39,7 @@ default) the session runs at.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -80,6 +81,7 @@ def machine_from_dict(d: dict) -> MachineConfig:
     return MachineConfig(**kw)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def machine_fingerprint(
     cfg: MachineConfig, timeslice_factor: float = 1.0
 ) -> str:
@@ -90,6 +92,11 @@ def machine_fingerprint(
     (``MemoryConfig.name`` is dropped), so a hand-built config that is
     field-for-field identical to a preset shares its fingerprint and
     its cached results.
+
+    Memoised on the frozen ``(cfg, timeslice_factor)`` pair: the engine
+    asks once per cell for its store key and again for its loop key.
+    ``typed=True`` keeps ``1`` and ``1.0``, which serialise differently,
+    apart.
     """
     doc = machine_to_dict(cfg)
     doc["memory"].pop("name", None)

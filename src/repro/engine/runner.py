@@ -39,9 +39,10 @@ Unlike a bare ``pool.map``, one sick cell cannot destroy the sweep
   the sweep journal — not an exception — unless the failure count
   exceeds :attr:`RetryPolicy.max_failures`, which aborts the sweep
   with :class:`SweepAborted` after recording what it has;
-* results that did complete are adopted (memo + store + journal) the
-  moment their future resolves, so an interrupt loses nothing that
-  finished.
+* results that did complete are adopted (memo + store + journal) as
+  soon as their future resolves and the freed workers have been handed
+  their next cells, so the workers never idle through the parent's
+  fsyncs and an interrupt loses nothing that finished.
 
 The fault-free path is bit-identical to the pre-fault-tolerance
 engine: same simulations, same adoption order effects, same telemetry
@@ -145,11 +146,9 @@ _CellPayload = tuple
 
 
 def _pool_warm_init() -> None:
-    """Pool-worker initializer: pre-import the heavy modules (numpy,
-    the simulator, the specialiser) so the first task a worker receives
-    pays no import tax."""
-    import numpy  # noqa: F401
-
+    """Pool-worker initializer: pre-import the simulator and the
+    specialiser so the first task a worker receives pays no import
+    tax."""
     from ..pipeline import processor, specialize  # noqa: F401
 
 
@@ -397,8 +396,8 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
     session, retry = run.session, run.retry
     queue: deque[tuple] = deque(pending)
     # the pool is session-owned and survives this sweep: consecutive
-    # sweep() calls on one session reuse warm workers (numpy + the
-    # simulator pre-imported by _pool_warm_init)
+    # sweep() calls on one session reuse warm workers (the simulator
+    # pre-imported by _pool_warm_init)
     pool = session._ensure_pool(jobs)
     pool_deaths = 0
     inflight: dict = {}          # future -> spec
@@ -473,6 +472,36 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
             )
             pool = session._ensure_pool(jobs)
 
+    def fill() -> list[float]:
+        """Submit queued cells until ``jobs`` are in flight, skipping
+        cells still backing off; returns the backoff deadlines that
+        blocked a submission.  At most ``jobs`` futures are in flight
+        so a submitted cell is (approximately) a *running* cell — its
+        timeout clock must not start while queued behind others."""
+        now = time.monotonic()
+        blocked_until: list[float] = []
+        while queue and len(inflight) < jobs:
+            spec = queue[0]
+            nb = run.not_before.get(spec)
+            if nb is not None and nb > now:
+                # head cell is backing off; rotate it away so it
+                # cannot starve the rest of the queue
+                blocked_until.append(nb)
+                queue.rotate(-1)
+                if all(run.not_before.get(s, 0) > now for s in queue):
+                    break
+                continue
+            queue.popleft()
+            run.not_before.pop(spec, None)
+            if not submit(spec):
+                # the pool broke between waits: everything already
+                # in flight rode it down (the cell we tried to
+                # submit was refunded and re-queued by submit())
+                on_pool_death("crash", list(inflight.values()))
+                break
+            now = time.monotonic()
+        return blocked_until
+
     ok = False
     try:
         while queue or inflight:
@@ -480,33 +509,7 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                 _run_serial(run, list(queue))
                 queue.clear()
                 break
-            # keep at most `jobs` futures in flight so a submitted
-            # cell is (approximately) a *running* cell — its timeout
-            # clock must not start while queued behind others
-            now = time.monotonic()
-            blocked_until: list[float] = []
-            while queue and len(inflight) < jobs:
-                spec = queue[0]
-                nb = run.not_before.get(spec)
-                if nb is not None and nb > now:
-                    # head cell is backing off; rotate it away so it
-                    # cannot starve the rest of the queue
-                    blocked_until.append(nb)
-                    queue.rotate(-1)
-                    if all(
-                        run.not_before.get(s, 0) > now for s in queue
-                    ):
-                        break
-                    continue
-                queue.popleft()
-                run.not_before.pop(spec, None)
-                if not submit(spec):
-                    # the pool broke between waits: everything already
-                    # in flight rode it down (the cell we tried to
-                    # submit was refunded and re-queued by submit())
-                    on_pool_death("crash", list(inflight.values()))
-                    break
-                now = time.monotonic()
+            blocked_until = fill()
             if not inflight:
                 if blocked_until:
                     time.sleep(
@@ -543,49 +546,63 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                     on_pool_death("timeout", hung, bystanders)
                 continue
             broken: list = []
-            for fut in done:
-                spec = inflight.pop(fut)
-                deadlines.pop(fut, None)
-                try:
-                    cell = fut.result()
-                except BrokenProcessPool:
-                    broken.append(spec)
-                    continue
-                except Exception as e:  # pickling error etc.
-                    run.note_error(
-                        spec, "error", f"{type(e).__name__}: {e}"
+            finished: list[tuple] = []
+            try:
+                for fut in done:
+                    spec = inflight.pop(fut)
+                    deadlines.pop(fut, None)
+                    try:
+                        cell = fut.result()
+                    except BrokenProcessPool:
+                        broken.append(spec)
+                        continue
+                    except Exception as e:  # pickling error etc.
+                        run.note_error(
+                            spec, "error", f"{type(e).__name__}: {e}"
+                        )
+                        if run.exhausted(spec):
+                            run.fail(spec, "error",
+                                     f"{type(e).__name__}: {e}")
+                        else:
+                            run.backoff(spec)
+                            queue.append(spec)
+                        continue
+                    if "error" in cell:
+                        err = cell["error"]
+                        run.note_error(
+                            spec, err["category"], err["message"],
+                            err.get("traceback"),
+                        )
+                        if run.exhausted(spec):
+                            run.fail(
+                                spec, err["category"], err["message"]
+                            )
+                        else:
+                            run.backoff(spec)
+                            queue.append(spec)
+                        continue
+                    finished.append((spec, cell))
+                if broken:
+                    # one worker death breaks every outstanding future;
+                    # everything still inflight rode the same dead pool
+                    victims = broken + list(inflight.values())
+                    on_pool_death("crash", victims)
+                # hand the freed workers their next cells before the
+                # parent spends two fsyncs per finished cell on the
+                # store put and the journal append
+                if pool is not None:
+                    fill()
+            finally:
+                # adopted even when a failure above aborts the sweep,
+                # so an interrupt loses nothing that finished
+                for spec, cell in finished:
+                    run.adopt(
+                        spec, SimStats.from_dict(cell["stats"]),
+                        source="simulated",
+                        attempt=run.attempts.get(spec, 1),
+                        pooled_telemetry=cell["telemetry"],
+                        count_simulation=True,
                     )
-                    if run.exhausted(spec):
-                        run.fail(spec, "error",
-                                 f"{type(e).__name__}: {e}")
-                    else:
-                        run.backoff(spec)
-                        queue.append(spec)
-                    continue
-                if "error" in cell:
-                    err = cell["error"]
-                    run.note_error(
-                        spec, err["category"], err["message"],
-                        err.get("traceback"),
-                    )
-                    if run.exhausted(spec):
-                        run.fail(spec, err["category"], err["message"])
-                    else:
-                        run.backoff(spec)
-                        queue.append(spec)
-                    continue
-                run.adopt(
-                    spec, SimStats.from_dict(cell["stats"]),
-                    source="simulated",
-                    attempt=run.attempts.get(spec, 1),
-                    pooled_telemetry=cell["telemetry"],
-                    count_simulation=True,
-                )
-            if broken:
-                # one worker death breaks every outstanding future;
-                # everything still inflight rode the same dead pool
-                victims = broken + list(inflight.values())
-                on_pool_death("crash", victims)
         ok = True
     finally:
         # a clean exit leaves the warm pool on the session for the

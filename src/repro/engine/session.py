@@ -135,8 +135,8 @@ class SimulationSession:
         #: session's sweeps (:class:`~repro.engine.runner.CellFailure`)
         self.failures: list = []
         #: session-owned worker pool, created lazily by sweeps and
-        #: reused across them (workers pre-import numpy + the
-        #: simulator); ``close()`` releases it
+        #: reused across them (workers pre-import the simulator and
+        #: the specialiser); ``close()`` releases it
         self._pool = None
         self._pool_jobs = 0
         self._memo: dict[tuple, SimStats] = {}
@@ -163,8 +163,8 @@ class SimulationSession:
     def _ensure_pool(self, jobs: int):
         """The session's worker pool, spawned on first use and reused
         by every subsequent sweep (a respawn per sweep would pay worker
-        startup + numpy import for each one).  A pool sized differently
-        from the request is replaced."""
+        startup + the simulator's imports for each one).  A pool sized
+        differently from the request is replaced."""
         from concurrent.futures import ProcessPoolExecutor
 
         from .runner import _pool_warm_init

@@ -503,24 +503,28 @@ def generate_loop_source(
         #    extra]   (extra: pending cluster mask | pending-ops list)
         if split == "cluster":
             make_pend = "pend = th.pend = [i, n, False, 0, table.cmask[i]]"
+            # The per-cluster merge is unrolled in ascending cluster
+            # order, one literal mask test per cluster, so no bit-scan
+            # loop (shift + counter per cluster) runs.
             if op_merge:
+                bundle_merge = "\n".join(
+                    _dd(f"""
+                    if pm & {1 << c}:
+                        left = (e_remaining | {guards}) - b_packed[{c}]
+                        if left & {guards} == {guards}:
+                            e_remaining = left ^ {guards}
+                            avail |= {1 << c}
+                            n += b_nops[{c}]
+                    """)
+                    for c in range(cfg.n_clusters)
+                )
                 merge_part = f"""
                 pm = pend[4]
                 b_packed = table.bundle_packed[i]
                 b_nops = table.bundle_nops[i]
                 avail = 0
                 n = 0
-                m = pm
-                c = 0
-                while m:
-                    if m & 1:
-                        left = (e_remaining | {guards}) - b_packed[c]
-                        if left & {guards} == {guards}:
-                            e_remaining = left ^ {guards}
-                            avail |= 1 << c
-                            n += b_nops[c]
-                    m >>= 1
-                    c += 1
+{_block(bundle_merge, 16)}
                 if not avail:
                     continue
                 mem = table.mem_cmask[i] & avail
@@ -533,19 +537,17 @@ def generate_loop_source(
                     pend[2] = True
                 """
             else:
-                merge_part = """
+                bundle_ops = "\n".join(
+                    f"if avail & {1 << c}:\n    n += b_nops[{c}]"
+                    for c in range(cfg.n_clusters)
+                )
+                merge_part = f"""
                 avail = pend[4] & ~e_used
                 if not avail:
                     continue
                 b_nops = table.bundle_nops[i]
                 n = 0
-                m = avail
-                c = 0
-                while m:
-                    if m & 1:
-                        n += b_nops[c]
-                    m >>= 1
-                    c += 1
+{_block(bundle_ops, 16)}
                 e_used |= avail
                 mem = table.mem_cmask[i] & avail
                 e_mem_used |= mem

@@ -26,10 +26,11 @@ per-cycle cost.
 from __future__ import annotations
 
 import hashlib
+import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from operator import itemgetter
 
 from ..arch.config import MachineConfig
 from ..arch.resources import pack_usage, usage_of_ops
@@ -187,11 +188,15 @@ class TraceBundle:
 
     def rotated(self, r: int) -> tuple[StaticTable, list]:
         """Static table and address rows under cluster renaming ``r``."""
-        r %= self.cfg.n_clusters
+        n = self.cfg.n_clusters
+        r %= n
         if r not in self._rot_cache:
             st = _rot_static(self.static, r)
-            rows = [row[-r:] + row[:-r] for row in self.addr_rows]
-            self._rot_cache[r] = (st, rows)
+            # new column c reads old column c - r; r != 0 here (the
+            # unrotated entry is cached), so n >= 2 indices and the
+            # getter always returns a tuple
+            roll = itemgetter(*[(c - r) % n for c in range(n)])
+            self._rot_cache[r] = (st, list(map(roll, self.addr_rows)))
         return self._rot_cache[r]
 
     @property
@@ -202,13 +207,15 @@ class TraceBundle:
         h = hashlib.sha256()
         h.update(self.name.encode())
         n = self.length
-        h.update(np.fromiter(self.idx, np.int64, n).tobytes())
-        h.update(np.fromiter(self.taken, np.int8, n).tobytes())
+        # native int64 indices, int8 taken flags and int64 address rows;
+        # the explicit struct count rejects a row of the wrong length
+        h.update(array("q", self.idx).tobytes())
+        h.update(bytes(self.taken))
         h.update(
-            np.fromiter(
-                chain.from_iterable(self.addr_rows), np.int64,
-                n * self.cfg.n_clusters,
-            ).tobytes()
+            struct.pack(
+                f"{n * self.cfg.n_clusters}q",
+                *chain.from_iterable(self.addr_rows),
+            )
         )
         st = self.static
         # ops_desc is order-sensitive: op-level split issues ops in

@@ -6,6 +6,7 @@ import pytest
 
 from repro.arch.config import PAPER_MACHINE
 from repro.arch.resources import unpack_usage
+from repro.arch.scenarios import get_scenario
 from repro.pipeline.trace import build_static_table, record_trace
 
 from _kernels import make_axpy, make_wide, rotated_suite_tables
@@ -91,6 +92,21 @@ def test_rotation_maps_cluster_c_to_c_plus_r(wide_trace):
     for i in range(len(st0.nops)):
         for c in range(4):
             assert st0.bundle_nops[i][c] == st1.bundle_nops[i][(c + 1) % 4]
+    # address rows move the same way, for every rotation of a 2-, 4- and
+    # 8-cluster machine (sorted-row equality alone would pass a
+    # rotation in the wrong direction)
+    for machine in ("narrow", "paper", "wide"):
+        cfg = get_scenario(machine).machine
+        n = cfg.n_clusters
+        tr = record_trace(compile_kernel(make_wide(), cfg).program, cfg)
+        _, rows0 = tr.rotated(0)
+        assert any(len(set(row)) > 1 for row in rows0), machine
+        for r in range(1, n):
+            _, rows_r = tr.rotated(r)
+            assert len(rows_r) == len(rows0)
+            for row0, row_r in zip(rows0, rows_r):
+                for c in range(n):
+                    assert row_r[(c + r) % n] == row0[c], (machine, r)
 
 
 def test_rotation_cache(wide_trace):
