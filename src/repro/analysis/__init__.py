@@ -5,8 +5,9 @@ currency (``docs/analysis.md`` has the full catalogue):
 
 * :mod:`~repro.analysis.loopcheck` — prove every generated
   specialised run loop well-formed before it is ever ``exec()``'d:
-  closed free-name set, provable loop exits, and every inlined
-  literal re-derived independently from the resolved scenario spec.
+  each cell's loop shape re-derived from its spec, closed free-name
+  set, provable loop exits, every int literal drawn from the shape and
+  every scenario number bound from the state the reference loop reads.
   Hooked into ``specialize.get_specialized_loop`` (strict mode rejects
   a bad generation instead of executing it).
 * :mod:`~repro.analysis.counterflow` — the two run-loop tiers must

@@ -1,38 +1,44 @@
 """Static verification of generated specialised run loops.
 
 :func:`repro.pipeline.specialize.generate_loop_source` emits the
-*source* of a monomorphic run loop per resolved (policy, machine,
-memory, nt) cell and ``exec()``s it.  This pass proves three
-properties of that source **before** it ever executes:
+*source* of a monomorphic run loop per
+:class:`~repro.pipeline.specialize.LoopShape` — the few facts that
+change the loop's form — and ``exec()``s it; every cell of one shape
+shares that loop, with its scenario numbers bound to locals at loop
+entry.  This pass proves, **before** the source ever executes:
 
+* **the right shape** (:func:`check_shape`) — the cell's shape is
+  re-derived from its resolved spec by :func:`derive_shape`, apart
+  from ``specialize.loop_shape``, and must match: a misclassified cell
+  would silently run another shape's loop.
 * **closed free-name set** — the generated function may reach data
   only through its own parameters (``proc`` and the two run knobs) and
   an approved builtin set (:data:`APPROVED_BUILTINS`); any other free
   name (a module global, a stray builtin, an injected identifier)
   is a finding.  Together with a module body that contains nothing but
   the one ``def``, this pins the loop to proc-reachable state plus
-  inlined literals.
+  shape literals.
 * **provable exit edges** — every ``while`` with a constant-true test
   must contain a ``break``/``return``/``raise`` at its own nesting
   level (the generator never emits one today, so any ``while True``
   is itself suspect).
-* **literal/spec consistency** — every constant the generator inlines
-  (packed issue capacity, SWAR guard mask, cluster bit masks,
-  icache-line shift, the inline L1 probes' set masks and dcache-line
-  shift, miss/branch penalties, timeslice, instruction target, cycle
-  limit, priority rotations) is re-derived here
-  *independently from the resolved spec* — ``capacity_packed`` /
-  ``guards_mask`` / ``make_priority`` / the ``MachineConfig`` fields —
-  and matched against the AST.  A generator bug that bakes in a stale
-  or mismatched constant is rejected, not executed.
+* **the literal alphabet** — every int literal is a number of the
+  shape in the role it plays (thread indices of the priority rotation,
+  in rotation order, and its selector; cluster indices and bits;
+  pending-list slots) or 0/1.  A scenario number that leaks back in as
+  a literal would be wrong for every other cell of the shape.
+* **cluster pairing** — sibling unrolled ``if <mask> & <bit>:`` arms
+  test each cluster once, in order, and every cluster subscript,
+  ``|=`` and mask test inside an arm names the arm's own cluster.
+* **number bindings** — each scenario-number local is bound once, from
+  the state ``_run_reference`` reads (:data:`NUMBER_BINDINGS`).
 
-:func:`check_source` verifies one cell's source;
-:func:`check_matrix` sweeps the full ``MACHINE_PRESETS`` ×
-``MEMORY_PRESETS`` × policy × nt × multitasking matrix, deduped by
-:func:`~repro.pipeline.specialize.loop_key` (sound because the key
-contains everything the source inlines — its documented contract).
-``specialize.get_specialized_loop`` runs :func:`check_source` before
-``exec()`` on every fresh generation; under
+:func:`check_source` verifies one shape's source; :func:`check_matrix`
+checks the shape of every cell of the full ``MACHINE_PRESETS`` ×
+``MEMORY_PRESETS`` × policy × nt × multitasking matrix and verifies
+each distinct shape's source once.
+``specialize.get_specialized_loop`` runs :func:`check_shape` and
+:func:`check_source` before ``exec()`` on every fresh generation; under
 ``REPRO_SPECIALIZE_STRICT=1`` a finding raises
 :class:`LoopVerificationError`, otherwise the cell is memoised as
 rejected and falls back to ``_run_reference``.
@@ -42,17 +48,17 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from collections import Counter
-from typing import Iterator, Sequence
+from collections import Counter, defaultdict
+from typing import Collection, Iterator, Sequence, TypeVar, cast
 
 from .base import Finding
 from ..arch.config import MEMORY_PRESETS, MachineConfig
-from ..arch.resources import capacity_packed, guards_mask
 from ..arch.scenarios import MACHINE_PRESETS, get_scenario
 from ..core.policies import ALL_POLICIES, Policy
 from ..core.priority import make_priority
 from ..pipeline import specialize
 from ..pipeline.processor import SimParams
+from ..pipeline.specialize import LoopShape
 
 #: builtins the generated loop may call (everything else it needs is
 #: bound from ``proc`` attributes in its own setup block)
@@ -82,11 +88,41 @@ def _find(
     return Finding(rule, message, label, line, origin=ORIGIN)
 
 
+# ------------------------------------------------------------ node index
+_Index = dict[type[ast.AST], list[ast.AST]]
+
+_N = TypeVar("_N", bound=ast.AST)
+
+
+def _index(fn: ast.FunctionDef) -> _Index:
+    """Every node of ``fn`` (itself included), grouped by node type.
+
+    Each check below reads only the node types it inspects from this
+    one index: the walk, not the checks, dominates verification time,
+    and the generated loops run to several hundred lines."""
+    index: _Index = defaultdict(list)
+    todo: list[ast.AST] = [fn]
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    node_type = ast.AST
+    while todo:
+        node = pop()
+        index[type(node)].append(node)
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if type(value) is list:
+                extend(v for v in value if isinstance(v, node_type))
+            elif isinstance(value, node_type):
+                push(value)
+    return index
+
+
+def _of(index: _Index, kind: type[_N]) -> list[_N]:
+    """The indexed nodes of one type."""
+    return cast("list[_N]", index.get(kind, []))
+
+
 # ------------------------------------------------------------ free names
-# Every check below reads the function's nodes from one ``ast.walk``
-# list: the walk, not the checks, dominates verification time, and the
-# generated loops run to several hundred lines.
-def _bound_names(fn: ast.FunctionDef, nodes: list[ast.AST]) -> set[str]:
+def _bound_names(fn: ast.FunctionDef, index: _Index) -> set[str]:
     """Every name the function binds: parameters plus all Store/Del
     contexts (assignments, loop targets, walrus, comprehensions,
     ``with``/``except`` aliases, nested defs/imports).
@@ -101,424 +137,356 @@ def _bound_names(fn: ast.FunctionDef, nodes: list[ast.AST]) -> set[str]:
         bound.add(fn.args.vararg.arg)
     if fn.args.kwarg:
         bound.add(fn.args.kwarg.arg)
-    stores: Counter[str] = Counter()
-    augs: Counter[str] = Counter()
-    for node in nodes:
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            stores[node.id] += 1
-        elif isinstance(node, ast.AugAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            augs[node.target.id] += 1
-        elif isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            if node is not fn:
-                bound.add(node.name)
-        elif isinstance(node, ast.alias):
-            bound.add((node.asname or node.name).split(".")[0])
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            bound.add(node.name)
+    stores: Counter[str] = Counter(
+        n.id
+        for n in _of(index, ast.Name)
+        if isinstance(n.ctx, (ast.Store, ast.Del))
+    )
+    augs: Counter[str] = Counter(
+        n.target.id
+        for n in _of(index, ast.AugAssign)
+        if isinstance(n.target, ast.Name)
+    )
+    defs: list[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef] = [
+        *_of(index, ast.FunctionDef),
+        *_of(index, ast.AsyncFunctionDef),
+        *_of(index, ast.ClassDef),
+    ]
+    bound.update(d.name for d in defs if d is not fn)
+    bound.update(
+        (a.asname or a.name).split(".")[0] for a in _of(index, ast.alias)
+    )
+    for handler in _of(index, ast.ExceptHandler):
+        if handler.name:
+            bound.add(handler.name)
     # a store that is only ever an AugAssign target never binds
     bound.update(n for n, c in stores.items() if c > augs.get(n, 0))
     return bound
 
 
-def _free_loads(
-    fn: ast.FunctionDef, nodes: list[ast.AST]
-) -> dict[str, int]:
-    """Free (unbound) name reads of the function: ``name -> line``.
-    An ``AugAssign`` target counts as a read — ``x += 1`` loads ``x``
-    even though the AST gives the target Store context."""
-    bound = _bound_names(fn, nodes)
+def _free_loads(fn: ast.FunctionDef, index: _Index) -> dict[str, int]:
+    """Free (unbound) name reads of the function: ``name -> first
+    line``.  An ``AugAssign`` target counts as a read — ``x += 1``
+    loads ``x`` even though the AST gives the target Store context."""
+    bound = _bound_names(fn, index)
+    reads = [
+        (n.id, n.lineno)
+        for n in _of(index, ast.Name)
+        if isinstance(n.ctx, ast.Load)
+    ]
+    reads += [
+        (a.target.id, a.target.lineno)
+        for a in _of(index, ast.AugAssign)
+        if isinstance(a.target, ast.Name)
+    ]
     free: dict[str, int] = {}
-    for node in nodes:
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and node.id not in bound
-        ):
-            free.setdefault(node.id, node.lineno)
-        elif (
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id not in bound
-        ):
-            free.setdefault(node.target.id, node.target.lineno)
+    for name, line in reads:
+        if name not in bound and line < free.get(name, line + 1):
+            free[name] = line
     return free
 
 
-# -------------------------------------------------------- literal checks
-@dataclasses.dataclass
-class _Expected:
-    """Spec-derived constants one cell's loop must have inlined."""
-
-    op_merge: bool
-    split: str
-    multi: bool
-    flat: bool
-    perfect: bool
-    guards: int
-    capacity: int
-    iline_shift: int
-    dline_shift: int
-    iset_mask: int
-    dset_mask: int
-    taken_penalty: int
-    icache_miss_penalty: int
-    dcache_miss_penalty: int
-    timeslice: int
-    target: int
-    max_cycles: int
-    cluster_bits: frozenset[int]
-    orders: tuple[tuple[int, ...], ...]
-
-
-def _expected(
+# ----------------------------------------------------------------- shapes
+def derive_shape(
     policy: Policy,
     cfg: MachineConfig,
     params: SimParams,
     n_threads: int,
     n_benches: int,
-) -> _Expected:
-    """Re-derive every inlinable constant from the resolved spec (the
-    machine/memory config, the policy shape, the run params) — never
-    from the generator's own intermediates."""
+) -> LoopShape:
+    """Re-derive one cell's loop shape from its resolved spec, apart
+    from :func:`specialize.loop_shape`: the memory class is read off
+    the raw ``MemoryConfig`` fields, not ``is_flat``."""
+    mem = cfg.memory
     perfect = bool(params.perfect_memory)
-    return _Expected(
-        op_merge=policy.merge == "op",
+    below_l1 = mem.l2 is not None or mem.dram is not None
+    blocking = below_l1 or mem.prefetch != "none" or mem.writeback_penalty
+    memory = (
+        "perfect" if perfect
+        else "mshr" if mem.mshr
+        else "blocking" if blocking
+        else "flat"
+    )
+    return LoopShape(
+        merge=policy.merge,
         split=policy.split,
+        comm_split=policy.comm_split,
+        n_clusters=cfg.n_clusters,
+        n_threads=n_threads,
+        priority=params.priority,
         multi=n_benches > 1 and params.timeslice > 0,
-        flat=perfect or cfg.memory.is_flat,
-        perfect=perfect,
-        guards=guards_mask(cfg.n_clusters),
-        capacity=capacity_packed(cfg),
-        iline_shift=cfg.icache.line_bytes.bit_length() - 1,
-        dline_shift=cfg.dcache.line_bytes.bit_length() - 1,
-        iset_mask=cfg.icache.size_bytes
-        // (cfg.icache.assoc * cfg.icache.line_bytes) - 1,
-        dset_mask=cfg.dcache.size_bytes
-        // (cfg.dcache.assoc * cfg.dcache.line_bytes) - 1,
-        taken_penalty=cfg.taken_branch_penalty,
-        icache_miss_penalty=cfg.icache.miss_penalty,
-        dcache_miss_penalty=cfg.dcache.miss_penalty,
-        timeslice=params.timeslice,
-        target=params.target_instructions,
-        max_cycles=params.max_cycles,
-        cluster_bits=frozenset(1 << c for c in range(cfg.n_clusters)),
-        orders=make_priority(params.priority, n_threads).orders,
+        memory=memory,
+        prefetch=not perfect and mem.prefetch != "none",
+        taken_penalty=bool(cfg.taken_branch_penalty),
     )
 
 
-def _int_const(node: ast.expr) -> int | None:
+def check_shape(
+    shape: LoopShape,
+    policy: Policy,
+    cfg: MachineConfig,
+    params: SimParams,
+    n_threads: int,
+    n_benches: int,
+    label: str = "<generated>",
+) -> list[Finding]:
+    """A cell's loop shape must equal the one :func:`derive_shape`
+    re-derives from its spec: the loop is generated from the shape
+    alone, so a misclassified cell would run another shape's loop."""
+    want = derive_shape(policy, cfg, params, n_threads, n_benches)
+    diff = [
+        f"{f.name}={getattr(shape, f.name)!r} "
+        f"(spec: {getattr(want, f.name)!r})"
+        for f in dataclasses.fields(want)
+        if getattr(shape, f.name) != getattr(want, f.name)
+    ]
+    if not diff:
+        return []
+    return [
+        _find(
+            "loopcheck-shape",
+            "loop shape disagrees with the one re-derived from the "
+            "cell's spec: " + ", ".join(diff),
+            label,
+        )
+    ]
+
+
+# --------------------------------------------------------------- literals
+#: names whose unrolled ``if <name> & <bit>:`` arms test one cluster each
+CLUSTER_MASKS = frozenset({"mem", "store_mask", "avail", "pm"})
+
+#: sequences indexed by a constant cluster number inside those arms
+CLUSTER_ROWS = frozenset({"row", "b_nops", "b_packed"})
+
+#: slots of the flattened pending-instruction list
+PEND_SLOTS = range(5)
+
+#: every scenario-number local and the expression that must bind it:
+#: the state ``_run_reference`` reads for the same number
+NUMBER_BINDINGS = {
+    "mem_sys": "proc.mem",
+    "l1i": "mem_sys.l1i",
+    "l1d": "mem_sys.l1d",
+    "target": "proc._target",
+    "iline_shift": "proc.iline_shift",
+    "limit": "max_cycles if max_cycles is not None "
+    "else proc.params.max_cycles",
+    "capacity": "proc.engine.capacity",
+    "guards": "proc.engine.guards",
+    "taken_delay": "1 + proc.cfg.taken_branch_penalty",
+    "timeslice": "proc.params.timeslice",
+    "i_miss_penalty": "proc.cfg.icache.miss_penalty",
+    "d_miss_penalty": "proc.cfg.dcache.miss_penalty",
+    "i_set_mask": "l1i.set_mask",
+    "d_set_mask": "l1d.set_mask",
+    "d_line_shift": "l1d.line_shift",
+}
+
+
+def _int_const(node: ast.AST) -> int | None:
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return int(node.value)
     return None
 
 
-class _LiteralCollector:
-    """Harvest every spec-bearing literal site from the loop body."""
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else None
 
-    def __init__(self) -> None:
-        #: (kind, value, line) observations
-        self.seen: list[tuple[str, int, int]] = []
-        #: full priority tuples: Assign to thread_order / order_tabs
-        self.order_tuples: list[tuple[tuple[int, ...], ...]] = []
-        self._visit = {
-            ast.Assign: self.visit_Assign,
-            ast.AugAssign: self.visit_AugAssign,
-            ast.BinOp: self.visit_BinOp,
-            ast.Compare: self.visit_Compare,
-            ast.Call: self.visit_Call,
-        }
 
-    def collect(self, nodes: list[ast.AST]) -> None:
-        visit = self._visit
-        for node in nodes:
-            method = visit.get(type(node))
-            if method is not None:
-                method(node)
+def _at(node: ast.expr) -> tuple[int, int]:
+    """Source position of a node: the key of a literal's role."""
+    return node.lineno, node.col_offset
 
-    def _note(self, kind: str, value: int | None, line: int) -> None:
-        if value is not None:
-            self.seen.append((kind, value, line))
 
-    @staticmethod
-    def _threads_index(node: ast.expr) -> int | None:
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "threads"
-        ):
-            return _int_const(node.slice)
+def _arm_test(test: ast.expr) -> tuple[str, int] | None:
+    """``(mask, bit)`` of an unrolled arm's ``<mask> & <bit>`` test."""
+    if not (isinstance(test, ast.BinOp) and isinstance(test.op, ast.BitAnd)):
         return None
-
-    def _order_tuple(self, node: ast.expr) -> tuple[int, ...] | None:
-        if not isinstance(node, ast.Tuple):
-            return None
-        idx = [self._threads_index(e) for e in node.elts]
-        if any(i is None for i in idx):
-            return None
-        return tuple(i for i in idx if i is not None)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if len(node.targets) == 1:
-            t = node.targets[0]
-            name = t.id if isinstance(t, ast.Name) else None
-            if name == "limit" and isinstance(node.value, ast.IfExp):
-                self._note(
-                    "max_cycles",
-                    _int_const(node.value.orelse),
-                    node.lineno,
-                )
-            elif name == "e_remaining":
-                self._note(
-                    "capacity", _int_const(node.value), node.lineno
-                )
-            elif name == "next_switch":
-                v = node.value
-                if isinstance(v, ast.BinOp) and isinstance(v.op, ast.Add):
-                    self._note(
-                        "timeslice", _int_const(v.right), node.lineno
-                    )
-                else:
-                    self._note("timeslice", _int_const(v), node.lineno)
-            elif name == "thread_order":
-                one = self._order_tuple(node.value)
-                if one is not None:
-                    self.order_tuples.append((one,))
-            elif name == "order_tabs" and isinstance(
-                node.value, ast.Tuple
-            ):
-                tabs = [
-                    self._order_tuple(e) for e in node.value.elts
-                ]
-                if all(t is not None for t in tabs):
-                    self.order_tuples.append(
-                        tuple(t for t in tabs if t is not None)
-                    )
-            elif (
-                isinstance(t, ast.Attribute)
-                and t.attr == "fetch_at"
-                and isinstance(node.value, ast.BinOp)
-                and isinstance(node.value.op, ast.Add)
-            ):
-                arm = node.value.right
-                if isinstance(arm, ast.IfExp):
-                    self._note(
-                        "fetch_taken", _int_const(arm.body), node.lineno
-                    )
-                    self._note(
-                        "fetch_seq", _int_const(arm.orelse), node.lineno
-                    )
-                else:
-                    self._note(
-                        "fetch_const", _int_const(arm), node.lineno
-                    )
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if (
-            isinstance(node.target, ast.Name)
-            and node.target.id == "penalty"
-            and isinstance(node.op, ast.Add)
-        ):
-            self._note(
-                "dcache_penalty", _int_const(node.value), node.lineno
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        left_name = (
-            node.left.id if isinstance(node.left, ast.Name) else None
-        )
-        if isinstance(node.op, ast.RShift) and left_name == "pc":
-            self._note("iline_shift", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.RShift) and left_name == "addr":
-            self._note("dline_shift", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.BitAnd) and left_name == "line":
-            self._note("iset_mask", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.BitAnd) and left_name == "dline":
-            self._note("dset_mask", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.BitOr) and left_name == "e_remaining":
-            self._note("guards", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.BitXor) and left_name == "left":
-            self._note("guards", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, ast.BitAnd) and left_name in (
-            "mem",
-            "store_mask",
-        ):
-            self._note("cluster_bit", _int_const(node.right), node.lineno)
-        elif isinstance(node.op, (ast.BitAnd, ast.Mod)) and (
-            left_name == "cycle"
-        ):
-            kind = (
-                "order_sel_mask"
-                if isinstance(node.op, ast.BitAnd)
-                else "order_sel_mod"
-            )
-            self._note(kind, _int_const(node.right), node.lineno)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        # bstats.instructions >= <target>
-        if (
-            isinstance(node.left, ast.Attribute)
-            and node.left.attr == "instructions"
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.GtE)
-        ):
-            self._note(
-                "target", _int_const(node.comparators[0]), node.lineno
-            )
-        # left & <guards> ==/!= <guards>
-        if (
-            isinstance(node.left, ast.BinOp)
-            and isinstance(node.left.op, ast.BitAnd)
-            and isinstance(node.left.left, ast.Name)
-            and node.left.left.id == "left"
-        ):
-            self._note(
-                "guards", _int_const(node.left.right), node.lineno
-            )
-            if len(node.comparators) == 1:
-                self._note(
-                    "guards",
-                    _int_const(node.comparators[0]),
-                    node.lineno,
-                )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        # fast_forward(cycle, end_cycle, sw, ns, <multi>, <timeslice>)
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "fast_forward"
-            and len(node.args) == 6
-        ):
-            multi_arg = node.args[4]
-            if isinstance(multi_arg, ast.Constant):
-                self._note(
-                    "ff_multi", int(bool(multi_arg.value)), node.lineno
-                )
-            self._note("ff_timeslice", _int_const(node.args[5]), node.lineno)
-        # icache-miss path: th.fetch_at = cycle + <penalty> is caught by
-        # visit_Assign ("fetch_const"); nothing extra here.
+    mask, bit = _name(test.left), _int_const(test.right)
+    if mask is None or mask not in CLUSTER_MASKS or bit is None:
+        return None
+    return mask, bit
 
 
-def _check_literals(
-    nodes: list[ast.AST], exp: _Expected, label: str
+def _arms(index: _Index) -> Iterator[tuple[str, list[int], list[ast.If]]]:
+    """``(mask, bits, arms)`` per group of sibling unrolled
+    ``if <mask> & <bit>:`` arms (one statement list, one mask name)."""
+    blocks: list[ast.FunctionDef | ast.For | ast.While | ast.If] = [
+        *_of(index, ast.FunctionDef),
+        *_of(index, ast.For),
+        *_of(index, ast.While),
+        *_of(index, ast.If),
+    ]
+    for block in blocks:
+        for stmts in (block.body, getattr(block, "orelse", [])):
+            groups: dict[str, tuple[list[int], list[ast.If]]] = {}
+            for stmt in stmts:
+                if not isinstance(stmt, ast.If):
+                    continue
+                arm = _arm_test(stmt.test)
+                if arm is not None:
+                    bits, arms = groups.setdefault(arm[0], ([], []))
+                    bits.append(arm[1])
+                    arms.append(stmt)
+            for mask, (bits, arms) in groups.items():
+                yield mask, bits, arms
+
+
+def _check_alphabet(
+    index: _Index, shape: LoopShape, label: str
 ) -> list[Finding]:
-    col = _LiteralCollector()
-    col.collect(nodes)
-    findings: list[Finding] = []
+    """The literal alphabet and the cluster pairing.
 
-    def mismatch(kind: str, want: object, got: object, line: int) -> None:
-        findings.append(
-            _find(
-                "loopcheck-literal",
-                f"inlined {kind} literal {got!r} does not match the "
-                f"spec-derived value {want!r}",
-                label,
-                line,
-            )
-        )
+    Every int literal is a number of the loop's shape in the role it
+    plays — a thread index of the priority rotation (in rotation
+    order), its selector, a cluster index or bit, a pending-list slot
+    — or else 0 or 1.  Scenario numbers are bound locals, so any other
+    literal leaked into a loop that every cell of the shape shares.
 
-    exact = {
-        "max_cycles": exp.max_cycles,
-        "target": exp.target,
-        "iline_shift": exp.iline_shift,
-        "dline_shift": exp.dline_shift,
-        "iset_mask": exp.iset_mask,
-        "dset_mask": exp.dset_mask,
-        "guards": exp.guards,
-        "capacity": exp.capacity,
-        "timeslice": exp.timeslice,
-        "fetch_taken": 1 + exp.taken_penalty,
-        "fetch_seq": 1,
-        "dcache_penalty": exp.dcache_miss_penalty,
-        "ff_multi": int(exp.multi),
-        "ff_timeslice": exp.timeslice if exp.multi else 0,
-        "order_sel_mask": len(exp.orders) - 1,
-        "order_sel_mod": len(exp.orders),
-    }
-    counts: dict[str, int] = {}
-    cluster_bits: set[int] = set()
-    for kind, value, line in col.seen:
-        counts[kind] = counts.get(kind, 0) + 1
-        if kind == "cluster_bit":
-            cluster_bits.add(value)
-        elif kind == "fetch_const":
-            # retire (penalty 0 machines) inlines cycle + 1; the flat
-            # icache-miss path inlines cycle + miss_penalty
-            allowed = {exp.icache_miss_penalty} if exp.flat else set()
-            if not exp.taken_penalty:
-                allowed.add(1)
-            if value not in allowed:
-                mismatch(
-                    "fetch_at offset (1 or icache miss_penalty)",
-                    sorted(allowed),
-                    value,
-                    line,
-                )
-        elif kind in exact and value != exact[kind]:
-            mismatch(kind, exact[kind], value, line)
+    Sibling unrolled ``if <mask> & <bit>:`` arms test every cluster
+    once, in ascending order, and every cluster subscript, ``|=`` and
+    mask test inside an arm names the arm's own cluster.  The generator
+    emits one statement per line, so an arm's body is a line span."""
+    clusters = range(shape.n_clusters)
+    bits = frozenset(1 << c for c in clusters)
+    orders = make_priority(shape.priority, shape.n_threads).orders
+    n = len(orders)
+    #: literal position -> (role, the shape's numbers for that role)
+    roles: dict[tuple[int, int], tuple[str, Collection[int]]] = {}
+    threads: list[tuple[int, int, int]] = []
+    #: (line, is an index, cluster index or bit, what) of every
+    #: cluster literal
+    sites: list[tuple[int, bool, int, str]] = []
+    for sub in _of(index, ast.Subscript):
+        k = _int_const(sub.slice)
+        name = _name(sub.value)
+        if k is None:
+            continue
+        if name == "threads":
+            roles[_at(sub.slice)] = ("thread index", range(shape.n_threads))
+            threads.append((sub.lineno, sub.col_offset, k))
+        elif name in CLUSTER_ROWS:
+            roles[_at(sub.slice)] = ("cluster index", clusters)
+            sites.append((sub.lineno, True, k, f"{name}[{k}]"))
+        elif name == "pend":
+            roles[_at(sub.slice)] = ("pending-list slot", PEND_SLOTS)
+    for op in _of(index, ast.BinOp):
+        k = _int_const(op.right)
+        name = _name(op.left)
+        if k is None:
+            continue
+        if name == "cycle" and isinstance(op.op, ast.Mod):
+            roles[_at(op.right)] = ("priority selector", (n,))
+        elif name == "cycle" and isinstance(op.op, ast.BitAnd):
+            sel = (n - 1,) if n & (n - 1) == 0 else ()
+            roles[_at(op.right)] = ("priority selector", sel)
+        elif name in CLUSTER_MASKS and isinstance(op.op, ast.BitAnd):
+            roles[_at(op.right)] = ("cluster bit", bits)
+            sites.append((op.lineno, False, k, f"{name} & {k}"))
+    for aug in _of(index, ast.AugAssign):
+        k = _int_const(aug.value)
+        name = _name(aug.target)
+        if k is not None and name in CLUSTER_MASKS and isinstance(
+            aug.op, ast.BitOr
+        ):
+            roles[_at(aug.value)] = ("cluster bit", bits)
+            sites.append((aug.lineno, False, k, f"{name} |= {k}"))
 
-    # presence: a cell whose shape requires a constant must inline it
-    required = ["max_cycles", "target", "iline_shift"]
-    if exp.op_merge:
-        required += ["guards", "capacity"]
-    if exp.multi:
-        required.append("timeslice")
-    if not exp.perfect:
-        # the inline L1 tag probes
-        required += ["iset_mask", "dline_shift", "dset_mask"]
-    for kind in required:
-        if not counts.get(kind):
+    findings = []
+    for const in _of(index, ast.Constant):
+        value = _int_const(const)
+        if value is None:
+            continue
+        role, allowed = roles.get(_at(const), ("plain", (0, 1)))
+        if value not in allowed:
             findings.append(
                 _find(
                     "loopcheck-literal",
-                    f"expected an inlined {kind} literal "
-                    f"({exact[kind]!r}) but found none",
+                    f"{role} int literal {value} is outside the loop's "
+                    f"shape (allowed here: {sorted(allowed)}); a "
+                    "scenario number must be a bound local",
                     label,
+                    const.lineno,
                 )
             )
-    if cluster_bits and cluster_bits != set(exp.cluster_bits):
+    got = tuple(k for _, _, k in sorted(threads))
+    want = tuple(t for order in orders for t in order)
+    if got != want:
         findings.append(
             _find(
                 "loopcheck-literal",
-                "unrolled cluster mask bits "
-                f"{sorted(cluster_bits)} do not cover exactly "
-                f"{sorted(exp.cluster_bits)} (n_clusters mismatch)",
-                label,
-            )
-        )
-    if not cluster_bits:
-        findings.append(
-            _find(
-                "loopcheck-literal",
-                "expected an unrolled per-cluster data probe "
-                "(`mem & <bit>` tests) but found none",
+                f"priority rotation indexes threads {got!r}, not "
+                f"make_priority(...).orders flattened {want!r}",
                 label,
             )
         )
 
-    # priority rotation: the setup block must bake the exact orders
-    if not col.order_tuples:
-        findings.append(
-            _find(
-                "loopcheck-literal",
-                "no precomputed thread_order/order_tabs tuple found",
-                label,
+    arm_of_line: dict[int, int] = {}
+    want_bits = [1 << c for c in clusters]
+    for mask, arm_bits, arms in _arms(index):
+        if arm_bits != want_bits:
+            findings.append(
+                _find(
+                    "loopcheck-literal",
+                    f"unrolled `{mask} & <bit>` arms test {arm_bits}, "
+                    f"not each cluster bit once in order {want_bits}",
+                    label,
+                    arms[0].lineno,
+                )
             )
-        )
-    elif col.order_tuples[0] != exp.orders:
-        findings.append(
-            _find(
-                "loopcheck-literal",
-                f"priority rotation {col.order_tuples[0]!r} does not "
-                f"match make_priority(...).orders {exp.orders!r}",
-                label,
+        for bit, arm in zip(arm_bits, arms):
+            last = arm.body[-1]
+            end = last.end_lineno or last.lineno
+            for line in range(arm.body[0].lineno, end + 1):
+                arm_of_line[line] = bit
+    for line, is_index, value, what in sites:
+        arm_bit = arm_of_line.get(line)
+        if arm_bit is None:
+            continue
+        if value != (arm_bit.bit_length() - 1 if is_index else arm_bit):
+            findings.append(
+                _find(
+                    "loopcheck-literal",
+                    f"{what} inside the unrolled arm of cluster bit "
+                    f"{arm_bit} names another cluster",
+                    label,
+                    line,
+                )
             )
-        )
+    return findings
+
+
+def _check_bindings(index: _Index, label: str) -> list[Finding]:
+    """Each scenario-number local is bound once, from the state
+    ``_run_reference`` reads (:data:`NUMBER_BINDINGS`)."""
+    #: (target, bound expression, line) of every assignment
+    binds: list[tuple[ast.expr, ast.AST, int]] = []
+    for assign in _of(index, ast.Assign):
+        for target in assign.targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                binds += [(e, assign, assign.lineno) for e in target.elts]
+            else:
+                binds.append((target, assign.value, assign.lineno))
+    binds += [(a.target, a, a.lineno) for a in _of(index, ast.AugAssign)]
+    findings = []
+    bound: set[str] = set()
+    for target, value, line in binds:
+        name = _name(target)
+        if name is None or name not in NUMBER_BINDINGS:
+            continue
+        got = ast.unparse(value)
+        if got != NUMBER_BINDINGS[name] or name in bound:
+            findings.append(
+                _find(
+                    "loopcheck-binding",
+                    f"{name} is bound by {got!r}; a scenario number is "
+                    f"bound once, from {NUMBER_BINDINGS[name]!r}",
+                    label,
+                    line,
+                )
+            )
+        bound.add(name)
     return findings
 
 
@@ -538,38 +506,33 @@ def _has_own_level_exit(loop: ast.While) -> bool:
     return False
 
 
-def _check_loops(nodes: list[ast.AST], label: str) -> list[Finding]:
+def _check_loops(index: _Index, label: str) -> list[Finding]:
     findings = []
-    for node in nodes:
-        if isinstance(node, ast.While):
-            test = node.test
-            if isinstance(test, ast.Constant) and test.value:
-                if not _has_own_level_exit(node):
-                    findings.append(
-                        _find(
-                            "loopcheck-unbounded",
-                            "while with a constant-true test and no "
-                            "break/return/raise at its own level "
-                            "can never terminate",
-                            label,
-                            node.lineno,
-                        )
+    for node in _of(index, ast.While):
+        test = node.test
+        if isinstance(test, ast.Constant) and test.value:
+            if not _has_own_level_exit(node):
+                findings.append(
+                    _find(
+                        "loopcheck-unbounded",
+                        "while with a constant-true test and no "
+                        "break/return/raise at its own level "
+                        "can never terminate",
+                        label,
+                        node.lineno,
                     )
+                )
     return findings
 
 
 # ------------------------------------------------------------ entry points
 def check_source(
-    policy: Policy,
-    cfg: MachineConfig,
-    params: SimParams,
-    n_threads: int,
-    n_benches: int,
+    shape: LoopShape,
     source: str,
     label: str = "<generated>",
 ) -> list[Finding]:
-    """Statically verify one generated loop source against its cell's
-    resolved spec.  Returns findings (empty = verified)."""
+    """Statically verify one generated loop source against the shape
+    it was generated from.  Returns findings (empty = verified)."""
     try:
         tree = ast.parse(source, filename=label)
     except SyntaxError as e:
@@ -617,23 +580,23 @@ def check_source(
             )
         )
 
-    nodes = list(ast.walk(fn))
-    for name, line in sorted(_free_loads(fn, nodes).items()):
+    index = _index(fn)
+    for name, line in sorted(_free_loads(fn, index).items()):
         if name not in APPROVED_BUILTINS:
             findings.append(
                 _find(
                     "loopcheck-free-name",
                     f"free name {name!r}: the generated loop may only "
-                    "reach proc-reachable state, inlined literals and "
+                    "reach proc-reachable state, shape literals and "
                     f"the approved builtins {sorted(APPROVED_BUILTINS)}",
                     label,
                     line,
                 )
             )
 
-    findings.extend(_check_loops(nodes, label))
-    exp = _expected(policy, cfg, params, n_threads, n_benches)
-    findings.extend(_check_literals(nodes, exp, label))
+    findings.extend(_check_loops(index, label))
+    findings.extend(_check_alphabet(index, shape, label))
+    findings.extend(_check_bindings(index, label))
     return findings
 
 
@@ -692,26 +655,24 @@ def check_matrix(
     benches: Sequence[int] = (1, 4),
     scale: object | None = None,
 ) -> MatrixReport:
-    """Generate and verify every distinct loop of the preset matrix.
-
-    Cells are deduped by :func:`specialize.loop_key` — sound because
-    the key's documented contract is "everything the generated source
-    inlines", so key-equal cells share one source."""
+    """Check every cell of the preset matrix: its shape against the one
+    re-derived from its spec, then each distinct shape's generated loop
+    once.  The generator's only input is the shape, so cells of one
+    shape share one source."""
     findings: list[Finding] = []
-    seen: set[tuple[object, ...]] = set()
+    seen: set[LoopShape] = set()
     cells = 0
     for policy, cfg, params, nt, nb, label in iter_matrix(
         threads, benches, scale
     ):
         cells += 1
-        key = specialize.loop_key(policy, cfg, params, nt, nb)
-        if key in seen:
-            continue
-        seen.add(key)
-        source = specialize.generate_loop_source(
-            policy, cfg, params, nt, nb
-        )
+        shape = specialize.loop_shape(policy, cfg, params, nt, nb)
         findings.extend(
-            check_source(policy, cfg, params, nt, nb, source, label)
+            check_shape(shape, policy, cfg, params, nt, nb, label)
         )
+        if shape in seen:
+            continue
+        seen.add(shape)
+        source = specialize.generate_loop_source(shape)
+        findings.extend(check_source(shape, source, label))
     return MatrixReport(findings, cells, len(seen))

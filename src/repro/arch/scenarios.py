@@ -94,9 +94,10 @@ def machine_fingerprint(
     its cached results.
 
     Memoised on the frozen ``(cfg, timeslice_factor)`` pair: the engine
-    asks once per cell for its store key and again for its loop key.
-    ``typed=True`` keeps ``1`` and ``1.0``, which serialise differently,
-    apart.
+    asks once per cell for its store key.  No run-loop key asks for it:
+    generated loops are memoised by their shape
+    (:class:`repro.pipeline.specialize.LoopShape`).  ``typed=True``
+    keeps ``1`` and ``1.0``, which serialise differently, apart.
     """
     doc = machine_to_dict(cfg)
     doc["memory"].pop("name", None)

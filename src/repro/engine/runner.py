@@ -377,11 +377,13 @@ def _run_serial(run: _MatrixRun, specs: list[tuple]) -> None:
                 category = "error"
             else:
                 run.results[spec] = stats
-                if run.journal is not None:
+                # like the pooled path, journal only what was simulated:
+                # a store or memo hit is already durable in the store
+                if run.journal is not None and (
+                    session.simulations > before
+                ):
                     run.journal.record_done(
-                        session.journal_key(spec), cell,
-                        "simulated" if session.simulations > before
-                        else "cached",
+                        session.journal_key(spec), cell, "simulated"
                     )
                 break
             finally:

@@ -443,9 +443,10 @@ class Processor:
 
         Two-tier dispatch, both tiers bit-identical:
 
-        1. **specialized** — a scenario-monomorphic loop generated by
-           :mod:`repro.pipeline.specialize` (constants inlined, dead
-           branches deleted); the default when no hooks are installed.
+        1. **specialized** — a shape-monomorphic loop generated by
+           :mod:`repro.pipeline.specialize` (shape inlined, scenario
+           numbers bound at loop entry, dead branches deleted); the
+           default when no hooks are installed.
         2. **reference** — :meth:`_run_reference`, the per-cycle
            oracle; forced by hooks (``on_cycle`` must fire every
            cycle), by cycle attribution (``attribute=True``, which

@@ -1,77 +1,49 @@
-"""Scenario-specialised run-loop code generation.
+"""Shape-specialised run-loop code generation.
 
-The generic per-cycle loop (:meth:`Processor._run_reference`)
-re-evaluates per cycle a pile of facts that are constants once a
-scenario is resolved:
-the split level, the merge level, the memory class (flat vs
-hierarchical, blocking vs MSHR), whether multitasking is on, the
-priority rotation, and every scenario parameter (timeslice, penalties,
-packed capacities, the instruction target).  This module generates the
-*source* of a monomorphic run loop for one resolved
-``(policy, machine, memory, n_threads)`` cell:
+This module generates the *source* of a monomorphic run loop for one
+:class:`LoopShape` — only the facts that change the loop's form
+(policy levels, cluster and thread counts, priority kind,
+multitasking, memory class, taken-branch penalty) — and ``exec()``s
+it.  What the shape fixes is inlined: the per-cluster merges and data
+probes are unrolled with literal cluster bits, the priority rotation
+is a tuple of *thread objects*, and structurally-dead branches are
+deleted (no scheduler without multitasking, no hierarchy walker on
+flat memory, no ICC-atomicity branch under AS, no buffered-store
+machinery without split).  L1 tag hits are probed inline, with local
+hit counters flushed at exit; the memory model is entered only on a
+miss or a hit to a line an MSHR file or the prefetcher watches.  Under
+CCSI and OOSI a first offer that fits whole issues through the
+no-split fragments.  The pending-instruction state machine is a plain
+list (``[i, ops_remaining, was_split, buffered_store_mask, extra]``;
+a bare static index under no-split).
 
-* scenario constants (timeslice, packed issue capacity, SWAR guard
-  mask, priority orders, branch/miss penalties, target) are inlined as
-  literals;
-* structurally-dead branches are deleted at generation time — a
-  single-benchmark run carries no scheduler block, a flat-memory run
-  never reaches the hierarchy walker, an AS policy carries no
-  ICC-atomicity branch, a no-split policy carries no
-  buffered-store/commit machinery at all;
-* L1 tag hits are probed inline (set index, ``dict.pop``, MRU
-  reinsert, a local hit counter flushed into ``l1i.hits``/``l1d.hits``
-  at exit); the loop calls into the memory model only on a miss
-  (``Cache.access`` on flat memory, ``MemorySystem.iaccess``/``daccess``
-  otherwise) or on a hit to a line an MSHR file or the prefetcher is
-  watching (``MemorySystem.i_hit_watched``/``d_hit_watched``);
-* under CCSI and OOSI an instruction's first offer that fits whole
-  issues and retires through the no-split fragments, never building
-  the pending-list state below;
-* the per-thread priority rotation is precomputed into tuples of
-  *thread objects*, so the inner loop never indexes ``threads[t]``;
-* the :class:`~repro.core.splitstate.PendingInstruction` state machine
-  is flattened into a plain list (``[i, ops_remaining, was_split,
-  buffered_store_mask, extra]`` — ``extra`` is the pending cluster
-  mask under cluster split and the pending-ops list under op split; a
-  bare static index suffices for no-split policies), eliminating one
-  object construction per fetched instruction.
+Scenario *numbers* — capacity, guard mask, set masks, line shifts,
+penalties, timeslice, target, cycle limit — are locals bound in the
+loop's setup block from the state ``_run_reference`` reads, so every
+cell of a shape shares one compiled loop at the same bytecode cost.
 
-The generated function is statically verified
-(:mod:`repro.analysis.loopcheck`: closed free-name set, provable loop
-exits, every inlined literal re-derived from the resolved spec),
-then ``compile()``d/``exec``d once and memoised by :func:`loop_key` —
-policy shape + :func:`machine_fingerprint` (the same canonical hash
-the disk cache keys on) + the scenario parameters the source inlines.
-Generation failures and verification rejections are memoised as
-``None`` so :meth:`Processor.run` falls back to ``_run_reference``, with
-the rule names + cell fingerprint logged through the ``repro``
-logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
-e.g. in CI — a bad generation is then rejected before it executes).
-
-The memo is per process.  A process-pool worker generates, verifies
-and compiles the loops of the cells it runs, exactly as a serial run
-does; nothing is shipped from the parent (``repro.engine.runner``).
-Generation is under a tenth of a loop's cost (verification and
-``compile()`` are the rest), so shipping generated source to workers
-would save them almost nothing.
-
-Bit-identity with ``_run_reference`` across the full policy × machine
-× memory × thread matrix is enforced by ``tests/test_specialize.py``
-and ``tests/test_fast_forward.py``; the semantics replicated here are
-exactly those of the reference loop's stages (``_fetch``,
-``_merge_stage``, ``_dcache_probe``, ``_commit_thread``, ``_retire``),
-fragment by fragment, plus the idle-span skip of
-:meth:`Processor._fast_forward`.
+Each fresh generation is verified by :mod:`repro.analysis.loopcheck`
+before ``exec()``, then memoised by shape in this process (pool
+workers build their own).  A generation failure or rejection is
+memoised as ``None`` and :meth:`Processor.run` falls back to
+``_run_reference``, logging the rule names and cell fingerprint
+(``REPRO_SPECIALIZE_STRICT=1`` re-raises instead).  Bit-identity with
+``_run_reference`` over the policy × machine × memory × thread matrix
+is enforced by ``tests/test_specialize.py`` and
+``tests/test_fast_forward.py``: the fragments here replicate the
+reference stages (``_fetch``, ``_merge_stage``, ``_dcache_probe``,
+``_commit_thread``, ``_retire``) plus :meth:`Processor._fast_forward`.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import textwrap
+from dataclasses import dataclass
 
 from ..arch.config import MachineConfig
-from ..arch.resources import capacity_packed, guards_mask
 from ..arch.scenarios import machine_fingerprint
 from ..core.policies import Policy
 from ..core.priority import make_priority
@@ -85,7 +57,25 @@ LOOP_NAME = "__specialized_loop"
 #: falling back
 STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 
-_loops: dict[tuple, object] = {}
+
+@dataclass(frozen=True)
+class LoopShape:
+    """Everything that changes the generated source's form, and
+    nothing else: the generator's whole input and the memo key."""
+
+    merge: str  # "op" | "cluster"
+    split: str  # "none" | "cluster" | "op"
+    comm_split: bool
+    n_clusters: int
+    n_threads: int
+    priority: str
+    multi: bool
+    memory: str  # "perfect" | "flat" | "blocking" | "mshr"
+    prefetch: bool
+    taken_penalty: bool
+
+
+_loops: dict[LoopShape, object] = {}
 _stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
 
 
@@ -99,31 +89,32 @@ def clear_cache() -> None:
     _stats.update(hits=0, misses=0, failures=0, rejected=0)
 
 
-def loop_key(
+def loop_shape(
     policy: Policy,
     cfg: MachineConfig,
     params,
     n_threads: int,
     n_benches: int,
-) -> tuple:
-    """Memo key: everything the generated source inlines.
-
-    Machine content is folded through :func:`machine_fingerprint` (the
-    canonical scenario hash the disk cache keys on), so two config
-    objects that are field-for-field equal share one compiled loop.
-    """
-    return (
-        policy.merge,
-        policy.split,
-        policy.comm_split,
-        machine_fingerprint(cfg),
-        n_threads,
-        n_benches > 1,
-        params.priority,
-        params.timeslice,
-        params.target_instructions,
-        params.max_cycles,
-        bool(params.perfect_memory),
+) -> LoopShape:
+    """The shape of one resolved cell's run loop."""
+    mem = cfg.memory
+    if params.perfect_memory:
+        memory = "perfect"
+    elif mem.is_flat:
+        memory = "flat"
+    else:
+        memory = "mshr" if mem.mshr > 0 else "blocking"
+    return LoopShape(
+        merge=policy.merge,
+        split=policy.split,
+        comm_split=policy.comm_split,
+        n_clusters=cfg.n_clusters,
+        n_threads=n_threads,
+        priority=params.priority,
+        multi=n_benches > 1 and params.timeslice > 0,
+        memory=memory,
+        prefetch=memory != "perfect" and mem.prefetch != "none",
+        taken_penalty=cfg.taken_branch_penalty != 0,
     )
 
 
@@ -135,25 +126,20 @@ def get_specialized_loop(
     n_benches: int,
 ):
     """Compiled monomorphic loop for one cell, or ``None`` if
-    generation failed or was rejected by static verification (the
-    caller then uses ``_run_reference``).  Both outcomes are memoised by
-    :func:`loop_key` in this process; the generated source itself is
-    not kept.
-
-    Every fresh generation is verified by
-    :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
-    a loop with an unexpected free name, an unprovable exit edge or an
-    inlined literal that disagrees with the resolved spec is never
-    executed.  Under :data:`STRICT` the rejection raises
-    :class:`~repro.analysis.loopcheck.LoopVerificationError`;
-    otherwise it is memoised and logged (rule names + the cell's
-    machine fingerprint) through the ``repro`` logging tree — like
-    generation exceptions, which are also no longer silent.
+    generation failed or static verification rejected it (the caller
+    then uses ``_run_reference``); both outcomes are memoised by the
+    cell's :func:`loop_shape`.  A fresh generation passes
+    ``loopcheck.check_shape`` and ``loopcheck.check_source`` *before*
+    ``exec()``: under :data:`STRICT` a finding raises
+    :class:`~repro.analysis.loopcheck.LoopVerificationError`, otherwise
+    it is memoised and logged (rule names + the cell's machine
+    fingerprint) through the ``repro`` logging tree, like generation
+    exceptions.
     """
-    key = loop_key(policy, cfg, params, n_threads, n_benches)
-    if key in _loops:
+    shape = loop_shape(policy, cfg, params, n_threads, n_benches)
+    if shape in _loops:
         _stats["hits"] += 1
-        return _loops[key]
+        return _loops[shape]
     _stats["misses"] += 1
     fingerprint = machine_fingerprint(cfg)[:12]
     cell = (
@@ -161,14 +147,14 @@ def get_specialized_loop(
         f" nt={n_threads} machine={fingerprint}"
     )
     try:
-        src = generate_loop_source(policy, cfg, params, n_threads, n_benches)
+        src = generate_loop_source(shape)
         # imported late: analysis.loopcheck imports this module
         from ..analysis import loopcheck
 
-        findings = loopcheck.check_source(
-            policy, cfg, params, n_threads, n_benches, src,
-            label=f"<specialized {cell}>",
-        )
+        label = f"<specialized {cell}>"
+        findings = loopcheck.check_shape(
+            shape, policy, cfg, params, n_threads, n_benches, label
+        ) + loopcheck.check_source(shape, src, label=label)
         if findings:
             raise loopcheck.LoopVerificationError(findings)
         label = (
@@ -199,11 +185,14 @@ def get_specialized_loop(
                 cell, type(e).__name__, e,
             )
         fn = None
-    _loops[key] = fn
+    _loops[shape] = fn
     return fn
 
 
 # ---------------------------------------------------------------- codegen
+# Dedenting dominates generation, and most fragments repeat across
+# shapes (97 % hits over the lint matrix's 720 shapes).
+@functools.lru_cache(maxsize=128)
 def _block(text: str, indent: int) -> str:
     """Dedent a template fragment and re-indent it to ``indent``."""
     body = textwrap.dedent(text).strip("\n")
@@ -213,40 +202,35 @@ def _block(text: str, indent: int) -> str:
     )
 
 
+@functools.lru_cache(maxsize=128)
 def _dd(text: str) -> str:
     """Dedent a template fragment to column zero."""
     return textwrap.dedent(text).strip("\n")
 
 
-def generate_loop_source(
-    policy: Policy,
-    cfg: MachineConfig,
-    params,
-    n_threads: int,
-    n_benches: int,
-) -> str:
-    """Emit the source of the monomorphic run loop for one cell."""
-    split = policy.split
+def generate_loop_source(shape: LoopShape) -> str:
+    """Emit the source of the monomorphic run loop of one shape."""
+    split = shape.split
     if split not in ("none", "cluster", "op"):
         raise ValueError(f"unknown split level {split!r}")
-    if policy.merge not in ("op", "cluster"):
-        raise ValueError(f"unknown merge level {policy.merge!r}")
-    op_merge = policy.merge == "op"
-    comm_split = policy.comm_split
-    perfect = bool(params.perfect_memory)
-    flat = perfect or cfg.memory.is_flat
-    nonblocking = cfg.memory.mshr > 0 and not perfect
-    timeslice = params.timeslice
-    multi = n_benches > 1 and timeslice > 0
-    orders = make_priority(params.priority, n_threads).orders
-    guards = guards_mask(cfg.n_clusters)
-    capacity = capacity_packed(cfg)
-    iline_shift = cfg.icache.line_bytes.bit_length() - 1
-    tp = cfg.taken_branch_penalty
+    if shape.merge not in ("op", "cluster"):
+        raise ValueError(f"unknown merge level {shape.merge!r}")
+    if shape.memory not in ("perfect", "flat", "blocking", "mshr"):
+        raise ValueError(f"unknown memory class {shape.memory!r}")
+    op_merge = shape.merge == "op"
+    comm_split = shape.comm_split
+    n_clusters = shape.n_clusters
+    perfect = shape.memory == "perfect"
+    flat = perfect or shape.memory == "flat"
+    nonblocking = shape.memory == "mshr"
+    multi = shape.multi
+    orders = make_priority(shape.priority, shape.n_threads).orders
 
-    # ---- small literal fragments --------------------------------------
+    # ---- small fragments ------------------------------------------------
     fetch_at_expr = (
-        f"cycle + ({1 + tp} if taken else 1)" if tp else "cycle + 1"
+        "cycle + (taken_delay if taken else 1)"
+        if shape.taken_penalty
+        else "cycle + 1"
     )
     # Retire bookkeeping, assuming ``bstats`` is already in a local
     # (the issue path loads it once for the operations counter and the
@@ -259,7 +243,7 @@ def generate_loop_source(
         bench.pos = pos = pos + 1
         bstats.instructions += 1
         instructions += 1
-        if bstats.instructions >= {params.target_instructions}:
+        if bstats.instructions >= target:
             target_hit = True
         if pos >= bench.bundle.length:
             bench.pos = 0
@@ -282,25 +266,25 @@ def generate_loop_source(
     # ``i_hit_watched``/``d_hit_watched``.  An unwatched hit has no
     # other side effect (``docs/memory.md``).
     inline = not perfect
-    prefetching = inline and cfg.memory.prefetch != "none"
+    prefetching = shape.prefetch
     d_watch = []
     if prefetching:
         d_watch.append("dline in d_prefetched")
     if nonblocking:
         d_watch.append("dline in d_inflight")
     if perfect:
-        ifetch = _dd(f"""
+        ifetch = _dd("""
             if not l1i_access(pc):
                 icache_misses += 1
-                th.fetch_at = cycle + {cfg.icache.miss_penalty}
+                th.fetch_at = cycle + i_miss_penalty
                 continue
         """)
     else:
         if flat:
-            imiss = f"""
+            imiss = """
                 l1i_access(pc)
                 icache_misses += 1
-                th.fetch_at = cycle + {cfg.icache.miss_penalty}
+                th.fetch_at = cycle + i_miss_penalty
                 continue
             """
         else:
@@ -310,7 +294,7 @@ def generate_loop_source(
                 continue
             """
         ifetch = _dd(f"""
-            ways = l1i_sets[line & {cfg.icache.n_sets - 1}]
+            ways = l1i_sets[line & i_set_mask]
             dirty = ways.pop(line, None)
             if dirty is None:
 {_block(imiss, 16)}
@@ -333,8 +317,6 @@ def generate_loop_source(
     # ``is_write`` for truthiness, so the flat path passes the raw mask
     # bit and skips the ``bool()`` call, and the inline hit stores it
     # as the dirty flag.
-    d_shift = cfg.dcache.line_bytes.bit_length() - 1
-    d_set_mask = cfg.dcache.n_sets - 1
     # MSHRs: misses all issue at ``cycle`` and overlap, and the thread
     # stalls for the slowest; blocking caches serialise — each later
     # miss starts after the accumulated penalty
@@ -345,20 +327,20 @@ def generate_loop_source(
         else "penalty += lat"
     )
     probe_blocks = []
-    for c in range(cfg.n_clusters):
+    for c in range(n_clusters):
         bit = 1 << c
         if perfect:
             miss = _dd(f"""
             if not l1d_access(addr, store_mask & {bit}):
                 dcache_misses += 1
-                penalty += {cfg.dcache.miss_penalty}
+                penalty += d_miss_penalty
             """)
         else:
             if flat:
                 dmiss = f"""
                 l1d_access(addr, store_mask & {bit})
                 dcache_misses += 1
-                penalty += {cfg.dcache.miss_penalty}
+                penalty += d_miss_penalty
                 """
             else:
                 dmiss = f"""
@@ -376,8 +358,8 @@ def generate_loop_source(
 {_block(d_charge, 24)}
                 """)
             miss = _dd(f"""
-            dline = addr >> {d_shift}
-            ways = l1d_sets[dline & {d_set_mask}]
+            dline = addr >> d_line_shift
+            ways = l1d_sets[dline & d_set_mask]
             dirty = ways.pop(dline, None)
             if dirty is None:
 {_block(dmiss, 16)}
@@ -421,10 +403,10 @@ def generate_loop_source(
     # cluster-mask test under cluster-level merging.
     if op_merge:
         whole_fit = (
-            f"left = (e_remaining | {guards}) - table.packed[i]",
-            f"left & {guards} != {guards}",
-            f"left & {guards} == {guards}",
-            f"e_remaining = left ^ {guards}",
+            "left = (e_remaining | guards) - table.packed[i]",
+            "left & guards != guards",
+            "left & guards == guards",
+            "e_remaining = left ^ guards",
         )
     else:
         whole_fit = (
@@ -481,7 +463,7 @@ def generate_loop_source(
                 continue
             i = th.idx[bench.pos]
             pc = table.pc[i]
-            line = pc >> {iline_shift}
+            line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
@@ -510,13 +492,13 @@ def generate_loop_source(
                 bundle_merge = "\n".join(
                     _dd(f"""
                     if pm & {1 << c}:
-                        left = (e_remaining | {guards}) - b_packed[{c}]
-                        if left & {guards} == {guards}:
-                            e_remaining = left ^ {guards}
+                        left = (e_remaining | guards) - b_packed[{c}]
+                        if left & guards == guards:
+                            e_remaining = left ^ guards
                             avail |= {1 << c}
                             n += b_nops[{c}]
                     """)
-                    for c in range(cfg.n_clusters)
+                    for c in range(n_clusters)
                 )
                 merge_part = f"""
                 pm = pend[4]
@@ -539,7 +521,7 @@ def generate_loop_source(
             else:
                 bundle_ops = "\n".join(
                     f"if avail & {1 << c}:\n    n += b_nops[{c}]"
-                    for c in range(cfg.n_clusters)
+                    for c in range(n_clusters)
                 )
                 merge_part = f"""
                 avail = pend[4] & ~e_used
@@ -562,16 +544,16 @@ def generate_loop_source(
             make_pend = (
                 "pend = th.pend = [i, n, False, 0, list(table.ops_desc[i])]"
             )
-            merge_part = f"""
+            merge_part = """
             rem0 = pend[1]
             still = []
             n = 0
             mem = 0
             for desc in pend[4]:
                 c, fu, is_mem = desc
-                left = (e_remaining | {guards}) - op_usage[c][fu]
-                if left & {guards} == {guards}:
-                    e_remaining = left ^ {guards}
+                left = (e_remaining | guards) - op_usage[c][fu]
+                if left & guards == guards:
+                    e_remaining = left ^ guards
                     if is_mem:
                         mem |= 1 << c
                     n += 1
@@ -595,11 +577,11 @@ def generate_loop_source(
             # state, so the instruction retires this cycle and the
             # per-part bookkeeping writes are dead.
             if op_merge:
-                atomic_check = f"""
-                left = (e_remaining | {guards}) - table.packed[i]
-                if left & {guards} != {guards}:
+                atomic_check = """
+                left = (e_remaining | guards) - table.packed[i]
+                if left & guards != guards:
                     continue
-                e_remaining = left ^ {guards}
+                e_remaining = left ^ guards
                 """
             else:
                 atomic_check = """
@@ -658,7 +640,7 @@ def generate_loop_source(
                 continue
             i = th.idx[bench.pos]
             pc = table.pc[i]
-            line = pc >> {iline_shift}
+            line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
@@ -696,7 +678,7 @@ def generate_loop_source(
     # ---- per-cycle framing --------------------------------------------
     resets = []
     if op_merge:
-        resets.append(f"e_remaining = {capacity}")
+        resets.append("e_remaining = capacity")
     if split == "none":
         if not op_merge:
             resets.append("e_used = 0")
@@ -714,11 +696,29 @@ def generate_loop_source(
         "packet_threads = stats.packet_threads",
         "pt_get = packet_threads.get",
         "fast_forward = proc._fast_forward",
+        # scenario numbers: one local each, read from the state
+        # ``_run_reference`` reads, so every cell of this shape shares
+        # the loop
+        "target = proc._target",
+        "iline_shift = proc.iline_shift",
+        "limit = max_cycles if max_cycles is not None else "
+        "proc.params.max_cycles",
     ]
+    if op_merge:
+        setup += [
+            "capacity = proc.engine.capacity",
+            "guards = proc.engine.guards",
+        ]
+    if shape.taken_penalty:
+        setup.append("taken_delay = 1 + proc.cfg.taken_branch_penalty")
+    if multi:
+        setup.append("timeslice = proc.params.timeslice")
     if flat:
         setup += [
             "l1i_access = mem_sys.l1i.access",
             "l1d_access = mem_sys.l1d.access",
+            "i_miss_penalty = proc.cfg.icache.miss_penalty",
+            "d_miss_penalty = proc.cfg.dcache.miss_penalty",
         ]
     else:
         setup += ["iaccess = mem_sys.iaccess", "daccess = mem_sys.daccess"]
@@ -728,6 +728,9 @@ def generate_loop_source(
             "l1d = mem_sys.l1d",
             "l1i_sets = l1i.sets",
             "l1d_sets = l1d.sets",
+            "i_set_mask = l1i.set_mask",
+            "d_set_mask = l1d.set_mask",
+            "d_line_shift = l1d.line_shift",
         ]
     if nonblocking:
         setup += [
@@ -758,7 +761,7 @@ def generate_loop_source(
     setup_src = "\n".join(" " * 4 + s for s in setup)
 
     if multi:
-        scheduler = f"""
+        scheduler = """
         if cycle >= next_switch:
             if not switching:
                 switching = True
@@ -767,17 +770,17 @@ def generate_loop_source(
                     break
             else:
                 proc._context_switch(cycle)
-                next_switch = cycle + {timeslice}
+                next_switch = cycle + timeslice
                 switching = False
         """
         sched_src = _block(scheduler, 8)
         switch_init = (
-            f"    switching = False\n    next_switch = {timeslice}\n"
+            "    switching = False\n    next_switch = timeslice\n"
         )
         ff_call = (
             "cycle, switching, next_switch = fast_forward(\n"
             "                cycle, end_cycle, switching, next_switch, "
-            f"True, {timeslice}\n"
+            "True, timeslice\n"
             "            )"
         )
     else:
@@ -838,9 +841,9 @@ def generate_loop_source(
 
     header = (
         f"# generated by repro.pipeline.specialize for "
-        f"{policy.merge}-merge/{split}-split"
+        f"{shape.merge}-merge/{split}-split"
         f"{'' if comm_split else ' (NS atomic ICC)'},"
-        f" nt={n_threads}, "
+        f" nt={shape.n_threads}, "
         f"{'flat' if flat else ('mshr' if nonblocking else 'hier')} memory"
         f"{', multitasking' if multi else ''}\n"
     )
@@ -856,8 +859,7 @@ def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
     icache_misses = 0
     dcache_accesses = 0
     dcache_misses = 0
-{hit_locals}    limit = max_cycles if max_cycles is not None else {params.max_cycles}
-{switch_init}    cycle = stats.cycles
+{hit_locals}{switch_init}    cycle = stats.cycles
     end_cycle = cycle + limit
     while cycle < end_cycle:
         ops_this_cycle = 0

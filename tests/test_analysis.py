@@ -11,6 +11,7 @@ bit-identical results) otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 
@@ -32,6 +33,7 @@ from repro.analysis.counterflow import (
     compare_counter_sets,
     tier_counter_sets,
 )
+from repro.arch.config import get_memory_config
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.core.policies import BY_NAME
 from repro.pipeline import specialize
@@ -186,87 +188,146 @@ def test_repo_source_tree_is_clean():
 
 # ------------------------------------------------------- loopcheck
 def test_loopcheck_full_matrix_clean():
-    """Every distinct generated loop of the machine x memory x policy
-    x nt x multitasking matrix passes static verification."""
+    """Every cell of the machine x memory x policy x nt x multitasking
+    matrix has the shape its spec re-derives, and every distinct
+    shape's generated loop passes static verification."""
     report = check_matrix(threads=(1, 2, 4), benches=(1, 4))
     assert report.findings == []
     assert report.cells == 1920
-    assert report.unique_loops == 1920
+    assert report.unique_loops == 720
 
 
 def _cell(policy="CCSI AS", nt=2, nb=2):
+    """(shape, source, params) of one paper-machine cell."""
     params = SimParams(target_instructions=500, timeslice=200, seed=7)
-    return BY_NAME[policy], PAPER_CFG, params, nt, nb
+    shape = specialize.loop_shape(BY_NAME[policy], PAPER_CFG, params, nt, nb)
+    return shape, specialize.generate_loop_source(shape), params
 
 
 def test_loopcheck_accepts_real_generation():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
-    assert check_source(policy, cfg, params, nt, nb, src) == []
+    shape, src, _ = _cell()
+    assert check_source(shape, src) == []
 
 
 def test_loopcheck_flags_stray_free_name():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
+    shape, src, _ = _cell()
     src += "    _evil_global += 1\n"
-    hits = check_source(policy, cfg, params, nt, nb, src)
+    hits = check_source(shape, src)
     assert "loopcheck-free-name" in rules_of(hits)
     assert any("_evil_global" in f.message for f in hits)
 
 
 def test_loopcheck_flags_unapproved_builtin():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
+    shape, src, _ = _cell()
     src += "    leak = globals()\n"
-    hits = check_source(policy, cfg, params, nt, nb, src)
+    hits = check_source(shape, src)
     assert rules_of(hits) == ["loopcheck-free-name"]
 
 
 def test_loopcheck_flags_literal_mismatch():
-    """A stale inlined constant (generator bug) is caught by
-    re-deriving the value from the spec."""
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
-    needle = f"bstats.instructions >= {params.target_instructions}"
+    """A scenario number written where its bound local is read would be
+    wrong for every other cell of the shape: the literal alphabet
+    rejects it."""
+    shape, src, params = _cell()
+    needle = "bstats.instructions >= target"
     assert needle in src
     tampered = src.replace(
-        needle, f"bstats.instructions >= {params.target_instructions + 1}"
+        needle, f"bstats.instructions >= {params.target_instructions}"
     )
-    hits = check_source(policy, cfg, params, nt, nb, tampered)
+    hits = check_source(shape, tampered)
     assert rules_of(hits) == ["loopcheck-literal"]
-    assert any("target" in f.message for f in hits)
+    assert any(str(params.target_instructions) in f.message for f in hits)
 
 
 def test_loopcheck_flags_wrong_timeslice():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
+    shape, src, params = _cell()
     tampered = src.replace(
+        "next_switch = cycle + timeslice",
         f"next_switch = cycle + {params.timeslice}",
-        f"next_switch = cycle + {params.timeslice * 2}",
     )
     assert tampered != src
-    hits = check_source(policy, cfg, params, nt, nb, tampered)
+    hits = check_source(shape, tampered)
     assert rules_of(hits) == ["loopcheck-literal"]
 
 
+@pytest.mark.parametrize(
+    "policy, old, new",
+    [
+        ("CCSI AS", "if avail & 2:", "if avail & 4:"),
+        ("COSI AS", "b_nops[1]", "b_nops[2]"),
+    ],
+)
+def test_loopcheck_flags_unpaired_cluster_literal(policy, old, new):
+    """Inside an unrolled per-cluster arm, every cluster subscript and
+    bit must name the arm's own cluster."""
+    shape, src, _ = _cell(policy, nt=4)
+    assert old in src
+    hits = check_source(shape, src.replace(old, new, 1))
+    assert rules_of(hits) == ["loopcheck-literal"]
+
+
+def test_loopcheck_flags_number_bound_from_wrong_state():
+    shape, src, _ = _cell("COSI AS")
+    tampered = src.replace(
+        "guards = proc.engine.guards", "guards = proc.engine.capacity"
+    )
+    assert tampered != src
+    assert rules_of(check_source(shape, tampered)) == ["loopcheck-binding"]
+
+
 def test_loopcheck_flags_unbounded_loop():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
+    shape, src, _ = _cell()
     src += "    while True:\n        cycle += 0\n"
-    hits = check_source(policy, cfg, params, nt, nb, src)
+    hits = check_source(shape, src)
     assert rules_of(hits) == ["loopcheck-unbounded"]
     # with a break at its own level the loop is provably exitable
     src_ok = src.replace("        cycle += 0", "        break")
-    assert check_source(policy, cfg, params, nt, nb, src_ok) == []
+    assert check_source(shape, src_ok) == []
 
 
 def test_loopcheck_flags_module_level_statement():
-    policy, cfg, params, nt, nb = _cell()
-    src = specialize.generate_loop_source(policy, cfg, params, nt, nb)
-    hits = check_source(
-        policy, cfg, params, nt, nb, "import os\n" + src
-    )
+    shape, src, _ = _cell()
+    hits = check_source(shape, "import os\n" + src)
     assert "loopcheck-structure" in rules_of(hits)
+
+
+def _misclassify_l2_mshr(monkeypatch):
+    """Patch the shape function to file ``l2+mshr`` as blocking."""
+    real = specialize.loop_shape
+
+    def wrong(policy, cfg, params, n_threads, n_benches):
+        shape = real(policy, cfg, params, n_threads, n_benches)
+        if cfg.memory.name == "l2+mshr":
+            shape = dataclasses.replace(shape, memory="blocking")
+        return shape
+
+    monkeypatch.setattr(specialize, "loop_shape", wrong)
+
+
+def test_loopcheck_flags_misclassified_shape(fresh_cache, monkeypatch):
+    """The shape is the generator's only input: a cell filed under the
+    wrong shape would run another shape's loop, so ``check_matrix``
+    flags it and the specialiser rejects it before exec."""
+    _misclassify_l2_mshr(monkeypatch)
+    report = check_matrix(threads=(2,), benches=(1,))
+    assert rules_of(report.findings) == ["loopcheck-shape"]
+    # every l2+mshr cell (5 machines x 8 policies), and nothing else
+    assert len(report.findings) == 40
+    assert all(
+        "+l2+mshr/" in f.path and "memory='blocking'" in f.message
+        for f in report.findings
+    )
+
+    monkeypatch.setattr(specialize, "STRICT", True)
+    cfg = dataclasses.replace(
+        PAPER_CFG, memory=get_memory_config("l2+mshr")
+    )
+    params = SimParams(target_instructions=500, timeslice=200, seed=7)
+    proc = Processor(BY_NAME["CCSI AS"], traces_for("paper"), 2, cfg, params)
+    with pytest.raises(LoopVerificationError) as exc:
+        proc.run()
+    assert rules_of(exc.value.findings) == ["loopcheck-shape"]
+    assert specialize.cache_info()["compiled"] == 0
 
 
 # ----------------------------------------------------- counterflow

@@ -4,6 +4,8 @@ out, exhausted cells become recorded failures, resumed sweeps
 re-simulate exactly the lost cells — and every surviving result stays
 bit-identical to the fault-free run."""
 
+import json
+
 import pytest
 
 from repro.engine import (
@@ -167,6 +169,21 @@ def test_resume_resimulates_only_the_failed_cell(tmp_path, baseline):
     assert all(
         r["status"] == "done" for r in healed.journal.load().values()
     )
+
+
+def test_warm_serial_sweep_journals_only_checkpoints(tmp_path):
+    """Cache hits are not journalled (the store already holds them): a
+    warm serial sweep over a populated store appends checkpoint lines
+    only, as the pooled sweep does."""
+    tiny_sweep(SimulationSession(TINY, cache_dir=tmp_path / "c"))
+    warm = SimulationSession(TINY, cache_dir=tmp_path / "c")
+    before = len(warm.journal.path.read_text().splitlines())
+    tiny_sweep(warm)
+    assert warm.simulations == 0
+    added = warm.journal.path.read_text().splitlines()[before:]
+    assert [json.loads(line)["event"] for line in added] == [
+        "sweep-start", "sweep-complete",
+    ]
 
 
 def test_corrupt_store_entry_heals_on_rerun(tmp_path, baseline):

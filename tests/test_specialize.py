@@ -127,8 +127,7 @@ def fresh_cache():
 
 def test_memo_hit_miss_by_fingerprint(fresh_cache):
     """Two field-for-field equal configs share one compiled loop (the
-    key folds the machine through ``machine_fingerprint``); a different
-    scenario shape compiles a second one."""
+    key is the loop shape); a different shape compiles a second one."""
     traces = traces_for("paper")
     cfg_a = MACHINE_PRESETS["paper"].machine
     cfg_b = replace(cfg_a)  # equal content, distinct object
@@ -147,6 +146,43 @@ def test_memo_hit_miss_by_fingerprint(fresh_cache):
     info = specialize.cache_info()
     assert (info["misses"], info["compiled"]) == (2, 2)
     assert info["failures"] == 0
+
+
+@pytest.mark.parametrize("policy", ["CCSI-AS", "OOSI-AS"])
+@pytest.mark.parametrize(
+    "axis, pair",
+    [("machine", ("paper", "big-fu")), ("memory", ("l2", "slow-dram"))],
+    ids=["paper-big-fu", "l2-slow-dram"],
+)
+def test_cells_with_different_numbers_share_one_loop(
+    fresh_cache, policy, axis, pair
+):
+    """Scenario numbers are bound at loop entry, not baked into the
+    source: ``paper`` and ``big-fu`` (4 clusters each, different packed
+    capacity) and ``l2`` and ``slow-dram`` (one memory class, different
+    latencies) run through one compiled loop, and each cell stays
+    bit-identical to the reference loop."""
+    params = SimParams(target_instructions=1_000, timeslice=400, seed=11)
+    cfgs = []
+    for name in pair:
+        if axis == "machine":
+            cfgs.append((name, MACHINE_PRESETS[name].machine))
+        else:
+            cfg = replace(
+                MACHINE_PRESETS["paper"].machine,
+                memory=get_memory_config(name),
+            )
+            cfgs.append(("paper", cfg))
+    assert cfgs[0][1] != cfgs[1][1]
+    for machine, cfg in cfgs:
+        spec, ref, proc = run_tiers(
+            BY_NAME[policy.replace("-", " ")], traces_for(machine), 4, cfg,
+            params,
+        )
+        assert proc.loop_used == "specialized"
+        assert spec.to_dict() == ref.to_dict(), (policy, machine, cfg)
+    info = specialize.cache_info()
+    assert (info["misses"], info["hits"], info["compiled"]) == (1, 1, 1)
 
 
 # -------------------------------------------------------- tier dispatch
@@ -284,7 +320,7 @@ def identity_failures(memory, edit):
         policy = BY_NAME[name]
         for nt in (2, 4):
             src = specialize.generate_loop_source(
-                policy, cfg, params, nt, len(traces)
+                specialize.loop_shape(policy, cfg, params, nt, len(traces))
             )
             mutant = edit(src)
             assert mutant != src, (name, nt)
